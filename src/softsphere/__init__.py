@@ -8,11 +8,10 @@ solver (``pbd``), and a scene/metrics harness with a CLI (``scenes``,
 ``harness``, ``cli``).
 """
 
-from .detect import (BoundingSphere, CandidatePair, Contact, NarrowInput,
-                     baseline_bounding_ball, broad_phase, cone_validate,
-                     exact_tri_tri, min_bounding_spheres, narrow_phase,
-                     object_bounding_sphere, polygon_exact_contacts,
-                     sphere_overlap)
+from .detect import (BoundingSphere, CandidatePair, NarrowInput,
+                     baseline_bounding_ball, broad_phase, exact_tri_tri,
+                     min_bounding_spheres, narrow_phase,
+                     object_bounding_sphere, polygon_exact_contacts)
 from .harness import (FrameMetrics, RunResult, compare_methods, run_scene,
                       stability_metric, sweep_d, tunneled_count)
 from .mesh import (Adjacency, CurvatureField, DualMesh, MeshError,
@@ -20,9 +19,9 @@ from .mesh import (Adjacency, CurvatureField, DualMesh, MeshError,
                    build_dual_mesh, cloth_grid, compute_curvature, icosphere,
                    load_mesh, plane_floor, save_mesh, triangle_curvature,
                    validate_mesh)
-from .pbd import (CollisionConstraint, DistanceConstraint, ParticleState,
-                  SolverConfig, SolverInstabilityError, predict,
-                  project_collision, project_distance, solve_step)
+from .pbd import (DistanceConstraint, ParticleState, SolverConfig,
+                  SolverInstabilityError, predict, project_distance,
+                  solve_step)
 from .scenes import (BUILTIN_SCENES, ObjectSpec, SceneConfig, SceneError,
                      SceneObject, World, builtin_scene, cloth_over_sphere,
                      generate_scene, parse_scene_file, sphere_drop_on_plane,
@@ -36,22 +35,20 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Adjacency", "BoundingSphere", "BUILTIN_SCENES", "CandidatePair",
-    "Circumsphere", "CollisionConstraint", "Contact", "CurvatureField",
-    "DistanceConstraint", "DualMesh", "FrameMetrics", "MeshError",
-    "NarrowInput", "ObjectSpec", "ParticleState", "RunResult", "SceneConfig",
-    "SceneError", "SceneObject", "SolverConfig", "SolverInstabilityError",
-    "SphereParams", "SphereSet", "TriangleMesh", "World",
-    "angle_deficit_curvature", "baseline_bounding_ball", "broad_phase",
-    "build_adjacency", "build_circumsphere", "build_dual_mesh",
+    "Circumsphere", "CurvatureField", "DistanceConstraint", "DualMesh",
+    "FrameMetrics", "MeshError", "NarrowInput", "ObjectSpec", "ParticleState",
+    "RunResult", "SceneConfig", "SceneError", "SceneObject", "SolverConfig",
+    "SolverInstabilityError", "SphereParams", "SphereSet", "TriangleMesh",
+    "World", "angle_deficit_curvature", "baseline_bounding_ball",
+    "broad_phase", "build_adjacency", "build_circumsphere", "build_dual_mesh",
     "build_sphere_set", "builtin_scene", "circumcenter", "cloth_grid",
     "cloth_over_sphere", "compare_methods", "compute_curvature",
-    "cone_validate", "exact_tri_tri", "generate_scene", "hermite_factor",
-    "icosphere", "load_mesh", "min_bounding_spheres", "narrow_phase",
+    "exact_tri_tri", "generate_scene", "hermite_factor", "icosphere",
+    "load_mesh", "min_bounding_spheres", "narrow_phase",
     "object_bounding_sphere", "parse_scene_file", "plane_floor",
-    "polygon_exact_contacts", "predict", "project_collision",
-    "project_distance", "run_scene", "save_mesh", "shape_change",
-    "solve_step", "sphere_drop_on_plane", "sphere_overlap", "sphere_radius",
-    "sphere_through_triangle", "stability_metric", "sweep_d",
+    "polygon_exact_contacts", "predict", "project_distance", "run_scene",
+    "save_mesh", "shape_change", "solve_step", "sphere_drop_on_plane",
+    "sphere_radius", "sphere_through_triangle", "stability_metric", "sweep_d",
     "triangle_curvature", "tunneled_count", "two_sphere_impact",
     "update_spheres", "validate_mesh",
 ]

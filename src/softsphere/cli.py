@@ -1,7 +1,8 @@
 """Command-line front end: run scenes, sweep update thresholds, compare methods.
 
 Exit codes: 0 on success, 2 for bad scene descriptions or arguments, 3 when
-the solver goes unstable mid-run (the partial CSV is kept).
+a run aborts midway because the solver goes unstable or a deforming mesh
+produces a degenerate triangle (the partial CSV is kept).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from typing import List, Optional
 
 from .harness import (DEFAULT_D_GRID, compare_methods, run_scene, sweep_d,
                       _summarize)
+from .mesh import MeshError
 from .pbd import SolverInstabilityError
 from .scenes import (BUILTIN_SCENES, METHODS, SceneConfig, SceneError,
                      builtin_scene, parse_scene_file)
@@ -168,6 +170,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except SolverInstabilityError as exc:
         print(f"solver instability: {exc}", file=sys.stderr)
+        return 3
+    except MeshError as exc:
+        # scene loading wraps mesh errors as SceneError, so this one came
+        # from a mesh that degenerated mid-run
+        print(f"degenerate mesh: {exc}", file=sys.stderr)
         return 3
 
 

@@ -16,20 +16,24 @@ Baselines for method comparison:
   the exact test; there is no sphere prefilter).
 
 The pairwise kernels do their bulk filtering in float32 matrix algebra with a
-safety slack, then confirm candidates exactly in float64, so results are
-identical to the scalar definitions while large pair counts stay fast.
+safety slack, then confirm candidates exactly in float64, so large pair
+counts stay fast without changing which pairs are found.
+
+Every detector returns its contacts as one record array of
+``CONTACT_DTYPE`` rows (object and triangle indices plus the unit
+center-to-center normal from side a to side b), sorted by (tri_a, tri_b)
+within a candidate pair.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .mesh import TriangleMesh
-from .spheres import Circumsphere, SphereParams, SphereSet, _circumcenters_bulk
+from .spheres import SphereParams, SphereSet, _circumcenters_bulk
 
 # slack added to float32 filter thresholds before float64 confirmation
 _F32_SLACK = 1e-4
@@ -50,25 +54,11 @@ class CandidatePair:
 
     object_a: int
     object_b: int
-    shortlist: Optional[np.ndarray] = None
 
 
-@dataclass
-class Contact:
-    """A validated sphere-sphere collision event.
-
-    ``normal`` points from side a toward side b; ``depth`` is the sphere
-    overlap; ``point`` is the midpoint of the center segment.
-    """
-
-    obj_a: int
-    obj_b: int
-    tri_a: int
-    tri_b: int
-    normal: np.ndarray
-    depth: float
-    point: np.ndarray
-    validated: bool = False
+CONTACT_DTYPE = np.dtype([("obj_a", np.int64), ("obj_b", np.int64),
+                          ("tri_a", np.int64), ("tri_b", np.int64),
+                          ("normal", np.float64, (3,))])
 
 
 @dataclass
@@ -110,48 +100,6 @@ def broad_phase(spheres: Sequence[BoundingSphere]) -> List[CandidatePair]:
 # ---------------------------------------------------------------------------
 # narrow phase: circumsphere overlap + cone validation
 # ---------------------------------------------------------------------------
-
-
-def sphere_overlap(a: Circumsphere, b: Circumsphere,
-                   obj_a: int = 0, obj_b: int = 0) -> Optional[Contact]:
-    """Raw (pre-cone) contact iff the spheres strictly overlap."""
-    dvec = b.center - a.center
-    dist = float(np.linalg.norm(dvec))
-    rsum = a.radius + b.radius
-    if not dist < rsum:
-        return None
-    if dist < 1e-12:
-        # coincident centers: fall back to a's outward normal
-        ra = a.ref_vertices
-        n = np.cross(ra[1] - ra[0], ra[2] - ra[0])
-        normal = n / np.linalg.norm(n)
-    else:
-        normal = dvec / dist
-    return Contact(obj_a=obj_a, obj_b=obj_b, tri_a=a.triangle, tri_b=b.triangle,
-                   normal=normal, depth=rsum - dist,
-                   point=0.5 * (a.center + b.center), validated=False)
-
-
-def cone_validate(contact: Contact, sphere_a: Circumsphere, sphere_b: Circumsphere,
-                  normal_a: np.ndarray, normal_b: np.ndarray, tol: float,
-                  two_sided: bool = True) -> Optional[Contact]:
-    """Accept the contact iff its direction lies inside the safety cone(s).
-
-    Two-sided mode requires the center-center direction to sit within
-    ``safety_angle + tol`` of both triangles' outward normals (a's cone seen
-    from a toward b, b's cone seen from b toward a); one-sided mode checks
-    only a's cone.
-    """
-    d = contact.normal
-    ang_a = math.acos(min(1.0, max(-1.0, float(np.dot(normal_a, d)))))
-    if ang_a > sphere_a.safety_angle + tol:
-        return None
-    if two_sided:
-        ang_b = math.acos(min(1.0, max(-1.0, float(np.dot(normal_b, -d)))))
-        if ang_b > sphere_b.safety_angle + tol:
-            return None
-    contact.validated = True
-    return contact
 
 
 _EMPTY_PAIRS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
@@ -280,38 +228,43 @@ def _drop_vertex_sharing(ia: np.ndarray, ib: np.ndarray,
 
 
 def _contacts_from_pairs(ia: np.ndarray, ib: np.ndarray,
-                         centers_a: np.ndarray, radii_a: np.ndarray,
-                         centers_b: np.ndarray, radii_b: np.ndarray,
+                         centers_a: np.ndarray, centers_b: np.ndarray,
                          fallback_normals_a: Optional[np.ndarray],
-                         obj_a: int, obj_b: int,
-                         validated: bool) -> List[Contact]:
-    """Materialize contacts for overlapping index pairs, in (tri_a, tri_b) order."""
-    if ia.size == 0:
-        return []
+                         obj_a: int, obj_b: int) -> np.recarray:
+    """Contact rows for overlapping index pairs, in (tri_a, tri_b) order.
+
+    Coincident centers take a's triangle normal when ``fallback_normals_a``
+    is given.
+    """
     order = np.lexsort((ib, ia))
     ia = ia[order]
     ib = ib[order]
-    ca = centers_a[ia]
-    cb = centers_b[ib]
-    dvec = cb - ca
+    dvec = centers_b[ib] - centers_a[ia]
     dist = np.linalg.norm(dvec, axis=1)
-    depth = radii_a[ia] + radii_b[ib] - dist
     safe = np.maximum(dist, 1e-300)
     normals = dvec / safe[:, None]
     if fallback_normals_a is not None:
         coincident = dist < 1e-12
         if np.any(coincident):
             normals[coincident] = fallback_normals_a[ia[coincident]]
-    points = 0.5 * (ca + cb)
-    return [Contact(obj_a=obj_a, obj_b=obj_b, tri_a=int(ia[k]), tri_b=int(ib[k]),
-                    normal=normals[k], depth=float(depth[k]), point=points[k],
-                    validated=validated)
-            for k in range(len(ia))]
+    out = np.empty(len(ia), dtype=CONTACT_DTYPE).view(np.recarray)
+    out.obj_a = obj_a
+    out.obj_b = obj_b
+    out.tri_a = ia
+    out.tri_b = ib
+    out.normal = normals
+    return out
+
+
+def merge_contacts(batches: Sequence[np.ndarray]) -> np.recarray:
+    """Concatenate contact batches, in order, into one record array."""
+    return np.concatenate([np.empty(0, dtype=CONTACT_DTYPE), *batches]
+                          ).view(np.recarray)
 
 
 def narrow_phase(pair: CandidatePair, objects: Sequence[NarrowInput],
                  params: SphereParams, two_sided: bool = True
-                 ) -> Tuple[List[Contact], int]:
+                 ) -> Tuple[np.recarray, int]:
     """Validated contacts for one candidate pair, plus the raw overlap count.
 
     Self-collision pairs (object_a == object_b) exclude triangle pairs that
@@ -324,9 +277,6 @@ def narrow_phase(pair: CandidatePair, objects: Sequence[NarrowInput],
     ia, ib = _overlap_candidates(sa.centers, sa.radii, sb.centers, sb.radii, same)
     if same:
         ia, ib = _drop_vertex_sharing(ia, ib, a.triangles)
-    raw = int(ia.size)
-    if raw == 0:
-        return [], 0
     # cone validation, vectorized over candidates
     dvec = sb.centers[ib] - sa.centers[ia]
     dist = np.linalg.norm(dvec, axis=1)
@@ -342,10 +292,9 @@ def narrow_phase(pair: CandidatePair, objects: Sequence[NarrowInput],
         cos_b = np.einsum("ij,ij->i", b.normals[ib], -dirs)
         ang_b = np.arccos(np.clip(cos_b, -1.0, 1.0))
         ok &= ang_b <= sb.safety_angles[ib] + params.cone_tolerance
-    contacts = _contacts_from_pairs(ia[ok], ib[ok], sa.centers, sa.radii,
-                                    sb.centers, sb.radii, a.normals,
-                                    pair.object_a, pair.object_b, validated=True)
-    return contacts, raw
+    contacts = _contacts_from_pairs(ia[ok], ib[ok], sa.centers, sb.centers,
+                                    a.normals, pair.object_a, pair.object_b)
+    return contacts, int(ia.size)
 
 
 # ---------------------------------------------------------------------------
@@ -381,26 +330,23 @@ def min_bounding_spheres(positions: np.ndarray, triangles: np.ndarray
 
 
 def baseline_bounding_ball(pair: CandidatePair,
-                           positions_a: np.ndarray, triangles_a: np.ndarray,
-                           positions_b: np.ndarray, triangles_b: np.ndarray
-                           ) -> Tuple[List[Contact], int]:
-    """Per-triangle minimal-bounding-sphere overlap, recomputed from scratch.
+                           spheres_a: Tuple[np.ndarray, np.ndarray],
+                           spheres_b: Tuple[np.ndarray, np.ndarray],
+                           triangles_a: np.ndarray) -> Tuple[np.recarray, int]:
+    """Overlap of per-triangle minimal bounding spheres, no cone filter.
 
-    No cone filter and no lazy policy: every sphere overlap is a contact, so
-    the raw count equals the emitted count.
+    ``spheres_a``/``spheres_b`` are the (centers, radii) that
+    ``min_bounding_spheres`` gives each object; ``triangles_a`` drives the
+    vertex-sharing exclusion of a self pair.  Every sphere overlap is a
+    contact, so the raw count equals the emitted count.
     """
+    (ca, ra), (cb, rb) = spheres_a, spheres_b
     same = pair.object_a == pair.object_b
-    ca, ra = min_bounding_spheres(positions_a, triangles_a)
-    if same:
-        cb, rb = ca, ra
-    else:
-        cb, rb = min_bounding_spheres(positions_b, triangles_b)
     ia, ib = _overlap_candidates(ca, ra, cb, rb, same)
     if same:
         ia, ib = _drop_vertex_sharing(ia, ib, triangles_a)
-    contacts = _contacts_from_pairs(ia, ib, ca, ra, cb, rb, None,
-                                    pair.object_a, pair.object_b,
-                                    validated=True)
+    contacts = _contacts_from_pairs(ia, ib, ca, cb, None,
+                                    pair.object_a, pair.object_b)
     return contacts, int(ia.size)
 
 
@@ -684,16 +630,15 @@ def plane_side_survivors(pts_a: np.ndarray, pts_b: np.ndarray,
 def polygon_exact_contacts(pair: CandidatePair,
                            positions_a: np.ndarray, triangles_a: np.ndarray,
                            positions_b: np.ndarray, triangles_b: np.ndarray
-                           ) -> Tuple[List[Contact], int]:
+                           ) -> Tuple[np.recarray, int]:
     """Exact triangle-intersection detection over a candidate object pair.
 
     Every triangle pair between the two objects goes through the exact
     predicate's bulk first stage (mutual plane-side rejection); the
     survivors get the full exact test.  Returns the intersecting pairs as
-    contacts plus the raw count of pairs that reached the exact test.
-    Contact geometry (normal/depth/point) for the solver is synthesized from
-    the pair's minimal bounding spheres: the exact predicate itself yields no
-    penetration data.
+    contacts plus the raw count of pairs that reached the exact test.  The
+    exact predicate yields no penetration data, so each contact's normal
+    joins the centers of the pair's minimal bounding spheres.
     """
     pts_a = positions_a[triangles_a]
     pts_b = positions_b[triangles_b]
@@ -706,10 +651,8 @@ def polygon_exact_contacts(pair: CandidatePair,
     raw = int(ia.size)
     hits = _exact_tri_tri_bulk(pts_a[ia], pts_b[ib])
     ia, ib = ia[hits], ib[hits]
-    ca, ra = min_bounding_spheres(positions_a, triangles_a)
-    cb, rb = ((ca, ra) if same
-              else min_bounding_spheres(positions_b, triangles_b))
-    contacts = _contacts_from_pairs(ia, ib, ca, ra, cb, rb, None,
-                                    pair.object_a, pair.object_b,
-                                    validated=True)
+    ca, _ = min_bounding_spheres(positions_a, triangles_a)
+    cb = ca if same else min_bounding_spheres(positions_b, triangles_b)[0]
+    contacts = _contacts_from_pairs(ia, ib, ca, cb, None,
+                                    pair.object_a, pair.object_b)
     return contacts, raw

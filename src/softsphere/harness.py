@@ -22,17 +22,15 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .detect import (CandidatePair, Contact, NarrowInput,
-                     _contacts_from_pairs, _drop_vertex_sharing,
-                     _overlap_candidates, broad_phase, min_bounding_spheres,
+from .detect import (CandidatePair, NarrowInput, baseline_bounding_ball,
+                     broad_phase, merge_contacts, min_bounding_spheres,
                      narrow_phase, object_bounding_sphere,
                      polygon_exact_contacts)
-from .mesh import TriangleMesh, compute_curvature
-from .pbd import (CollisionConstraint, SolverConfig, SolverInstabilityError,
+from .mesh import TriangleMesh, compute_curvature, triangle_normals
+from .pbd import (COLLISION_DTYPE, SolverConfig, SolverInstabilityError,
                   predict, solve_step)
 from .scenes import SceneConfig, SceneObject, World, generate_scene
-from .spheres import (SphereParams, build_sphere_set,
-                      current_triangle_normals, update_spheres)
+from .spheres import SphereParams, build_sphere_set, update_spheres
 
 CSV_FIELDS = ("frame", "detect_time_s", "solve_time_s", "rebuild_count",
               "raw_contacts", "validated_contacts", "stability_m",
@@ -150,6 +148,15 @@ def tunneled_count(world: World) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _gather(pairs: Sequence[CandidatePair],
+            find: Callable[[CandidatePair], Tuple[np.recarray, int]]
+            ) -> Tuple[np.recarray, int]:
+    """Run a per-pair detector; merge its contacts and sum its raw counts."""
+    found = [find(pair) for pair in pairs]
+    return (merge_contacts([contacts for contacts, _ in found]),
+            sum(raw for _, raw in found))
+
+
 class _CircumsphereMethod:
     """Curvature-adaptive circumspheres with lazy threshold updates."""
 
@@ -172,22 +179,18 @@ class _CircumsphereMethod:
 
     def detect(self, frame: int, meshes: Sequence[TriangleMesh],
                pairs: Sequence[CandidatePair]
-               ) -> Tuple[List[Contact], int, int]:
+               ) -> Tuple[np.recarray, int, int]:
         rebuilds = 0
         for i, mesh in enumerate(meshes):
             rebuilds += update_spheres(self.sets[i], mesh, self.params[i],
                                        self.curvature[i], frame)
-        inputs = [NarrowInput(self.sets[i], current_triangle_normals(mesh),
+        inputs = [NarrowInput(self.sets[i],
+                              triangle_normals(mesh.vertices, mesh.triangles),
                               mesh.triangles)
                   for i, mesh in enumerate(meshes)]
-        contacts: List[Contact] = []
-        raw = 0
-        for pair in pairs:
-            found, raw_pair = narrow_phase(pair, inputs,
-                                           self.params[pair.object_a],
-                                           two_sided=self.two_sided)
-            contacts.extend(found)
-            raw += raw_pair
+        contacts, raw = _gather(pairs, lambda pair: narrow_phase(
+            pair, inputs, self.params[pair.object_a],
+            two_sided=self.two_sided))
         return contacts, raw, rebuilds
 
     def contact_spheres(self, obj_index: int, tri_ids: np.ndarray,
@@ -205,24 +208,13 @@ class _BoundingBallMethod:
 
     def detect(self, frame: int, meshes: Sequence[TriangleMesh],
                pairs: Sequence[CandidatePair]
-               ) -> Tuple[List[Contact], int, int]:
+               ) -> Tuple[np.recarray, int, int]:
         self.spheres = [min_bounding_spheres(m.vertices, m.triangles)
                         for m in meshes]
         rebuilds = sum(m.num_triangles for m in meshes)
-        contacts: List[Contact] = []
-        raw = 0
-        for pair in pairs:
-            ca, ra = self.spheres[pair.object_a]
-            cb, rb = self.spheres[pair.object_b]
-            same = pair.object_a == pair.object_b
-            ia, ib = _overlap_candidates(ca, ra, cb, rb, same)
-            if same:
-                ia, ib = _drop_vertex_sharing(ia, ib,
-                                              meshes[pair.object_a].triangles)
-            contacts.extend(_contacts_from_pairs(
-                ia, ib, ca, ra, cb, rb, None, pair.object_a, pair.object_b,
-                validated=True))
-            raw += int(ia.size)
+        contacts, raw = _gather(pairs, lambda pair: baseline_bounding_ball(
+            pair, self.spheres[pair.object_a], self.spheres[pair.object_b],
+            meshes[pair.object_a].triangles))
         return contacts, raw, rebuilds
 
     def contact_spheres(self, obj_index: int, tri_ids: np.ndarray,
@@ -240,16 +232,13 @@ class _PolygonExactMethod:
 
     def detect(self, frame: int, meshes: Sequence[TriangleMesh],
                pairs: Sequence[CandidatePair]
-               ) -> Tuple[List[Contact], int, int]:
-        contacts: List[Contact] = []
-        raw = 0
-        for pair in pairs:
+               ) -> Tuple[np.recarray, int, int]:
+        def find(pair):
             ma = meshes[pair.object_a]
             mb = meshes[pair.object_b]
-            found, raw_pair = polygon_exact_contacts(
-                pair, ma.vertices, ma.triangles, mb.vertices, mb.triangles)
-            contacts.extend(found)
-            raw += raw_pair
+            return polygon_exact_contacts(pair, ma.vertices, ma.triangles,
+                                          mb.vertices, mb.triangles)
+        contacts, raw = _gather(pairs, find)
         return contacts, raw, 0
 
     def contact_spheres(self, obj_index: int, tri_ids: np.ndarray,
@@ -271,67 +260,43 @@ _METHOD_CLASSES = {
 # ---------------------------------------------------------------------------
 
 
-def _collision_constraints(contacts: Sequence[Contact], world: World,
-                           method, predicted: np.ndarray
-                           ) -> List[CollisionConstraint]:
-    """Turn validated contacts into solver constraints.
+_SIDES = (("obj_a", "tri_a"), ("obj_b", "tri_b"))
+
+
+def _collision_constraints(contacts: np.recarray, world: World,
+                           method, predicted: np.ndarray) -> np.ndarray:
+    """Turn validated contacts into solver rows (``COLLISION_DTYPE``).
 
     Sphere centers are captured as offsets from the triangle centroids of the
     predicted positions, so the spheres ride along while the solver moves the
     particles.
     """
-    if not contacts:
-        return []
-    by_side: Dict[int, List[int]] = {}
-    for k, c in enumerate(contacts):
-        by_side.setdefault(c.obj_a, []).append(k)
-    tris_a = np.array([c.tri_a for c in contacts], dtype=np.int64)
-    tris_b = np.array([c.tri_b for c in contacts], dtype=np.int64)
-    centers_a = np.empty((len(contacts), 3))
-    radii_a = np.empty(len(contacts))
-    centers_b = np.empty((len(contacts), 3))
-    radii_b = np.empty(len(contacts))
-    part_a = np.empty((len(contacts), 3), dtype=np.int64)
-    part_b = np.empty((len(contacts), 3), dtype=np.int64)
-    for obj_index in sorted({c.obj_a for c in contacts}):
-        rows = np.array([k for k, c in enumerate(contacts)
-                         if c.obj_a == obj_index])
-        obj = world.objects[obj_index]
-        centers_a[rows], radii_a[rows] = method.contact_spheres(
-            obj_index, tris_a[rows], predicted, obj)
-        part_a[rows] = obj.global_triangles()[tris_a[rows]]
-    for obj_index in sorted({c.obj_b for c in contacts}):
-        rows = np.array([k for k, c in enumerate(contacts)
-                         if c.obj_b == obj_index])
-        obj = world.objects[obj_index]
-        centers_b[rows], radii_b[rows] = method.contact_spheres(
-            obj_index, tris_b[rows], predicted, obj)
-        part_b[rows] = obj.global_triangles()[tris_b[rows]]
-    cent_a = predicted[part_a].mean(axis=1)
-    cent_b = predicted[part_b].mean(axis=1)
-    off_a = centers_a - cent_a
-    off_b = centers_b - cent_b
-    out: List[CollisionConstraint] = []
-    for k, c in enumerate(contacts):
-        out.append(CollisionConstraint(
-            particles_a=part_a[k], particles_b=part_b[k],
-            offset_a=off_a[k], offset_b=off_b[k],
-            r_a=float(radii_a[k]), r_b=float(radii_b[k]),
-            normal_hint=c.normal, contact=c))
+    out = np.zeros(len(contacts), dtype=COLLISION_DTYPE)
+    for side, (obj_col, tri_col) in enumerate(_SIDES):
+        for obj_index in np.unique(contacts[obj_col]).tolist():
+            rows = np.nonzero(contacts[obj_col] == obj_index)[0]
+            tris = contacts[tri_col][rows]
+            obj = world.objects[obj_index]
+            centers, radii = method.contact_spheres(obj_index, tris,
+                                                    predicted, obj)
+            particles = obj.global_triangles()[tris]
+            out["particles"][rows, 3 * side:3 * side + 3] = particles
+            out["offsets"][rows, side] = (centers
+                                          - predicted[particles].mean(axis=1))
+            out["radius_sum"][rows] += radii
+    out["normal_hint"] = contacts.normal
     return out
 
 
-def _participating_vertices(contacts: Sequence[Contact],
+def _participating_vertices(contacts: np.recarray,
                             world: World) -> np.ndarray:
     """Global ids of deformable-object vertices touched by any contact."""
-    ids: List[np.ndarray] = []
-    for c in contacts:
-        for obj_index, tri in ((c.obj_a, c.tri_a), (c.obj_b, c.tri_b)):
-            obj = world.objects[obj_index]
-            if obj.deformable:
-                ids.append(obj.global_triangles()[tri])
-    if not ids:
-        return np.empty(0, dtype=np.int64)
+    ids = [np.empty(0, dtype=np.int64)]
+    for obj in world.objects:
+        if obj.deformable:
+            for obj_col, tri_col in _SIDES:
+                tris = contacts[tri_col][contacts[obj_col] == obj.index]
+                ids.append(obj.global_triangles()[tris].ravel())
     return np.unique(np.concatenate(ids))
 
 

@@ -12,18 +12,17 @@ Constraints:
   deformable-body stiffness);
 * collision constraints keep two contact spheres separated; sphere centers
   are treated as rigid offsets from their triangle centroids, so pushing the
-  six involved particles moves the spheres apart.
+  six involved particles moves the spheres apart.  They arrive as one
+  ``COLLISION_DTYPE`` array, a row per contact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
-
-from .detect import Contact
 
 
 class SolverInstabilityError(Exception):
@@ -76,22 +75,14 @@ class DistanceConstraint:
             raise ValueError("rest_length must be > 0")
 
 
-@dataclass
-class CollisionConstraint:
-    """Non-penetration of two contact spheres, coupled through the centroids.
-
-    ``offset_a``/``offset_b`` are the (fixed) sphere-center offsets from each
-    triangle's centroid, captured when the contact was generated.
-    """
-
-    particles_a: np.ndarray   # 3 global particle indices
-    particles_b: np.ndarray
-    offset_a: np.ndarray
-    offset_b: np.ndarray
-    r_a: float
-    r_b: float
-    normal_hint: np.ndarray   # used when the centers coincide
-    contact: Optional[Contact] = None
+# One collision constraint per row: the particles of triangle a then of
+# triangle b, each sphere center's fixed offset from its triangle centroid
+# (captured when the contact was generated), r_a + r_b, and the direction
+# used when the two centers coincide.
+COLLISION_DTYPE = np.dtype([("particles", np.int64, (6,)),
+                            ("offsets", np.float64, (2, 3)),
+                            ("radius_sum", np.float64),
+                            ("normal_hint", np.float64, (3,))])
 
 
 @dataclass
@@ -140,53 +131,17 @@ def project_distance(con: DistanceConstraint, state: ParticleState
     return dp_i, dp_j
 
 
-def project_collision(con: CollisionConstraint, state: ParticleState
-                      ) -> List[Tuple[int, np.ndarray]]:
-    """Corrections for one contact: list of (particle index, delta).
-
-    The spheres' centers are the triangle centroids plus the stored offsets;
-    the violation C = |c_b - c_a| - (r_a + r_b) is removed by translating the
-    two sides apart along the current center line, split by inverse-mass sums
-    and distributed within each side in proportion to inverse mass (a uniform
-    side moves as one; pinned particles never move).
-    """
-    pa = state.predicted[con.particles_a]
-    pb = state.predicted[con.particles_b]
-    ca = pa.mean(axis=0) + con.offset_a
-    cb = pb.mean(axis=0) + con.offset_b
-    dvec = cb - ca
-    dist = float(np.linalg.norm(dvec))
-    c = dist - (con.r_a + con.r_b)
-    if c >= 0:
-        return []
-    n = con.normal_hint if dist < 1e-12 else dvec / dist
-    wa = state.inv_mass[con.particles_a]
-    wb = state.inv_mass[con.particles_b]
-    W = float(wa.sum() + wb.sum())
-    if W == 0:
-        return []
-    out: List[Tuple[int, np.ndarray]] = []
-    for k in range(3):
-        if wa[k] > 0:
-            out.append((int(con.particles_a[k]), (3.0 * wa[k] * c / W) * n))
-    for k in range(3):
-        if wb[k] > 0:
-            out.append((int(con.particles_b[k]), (-3.0 * wb[k] * c / W) * n))
-    return out
-
-
-def collision_violation(con: CollisionConstraint, state: ParticleState) -> float:
-    """Current signed violation C (negative = penetrating)."""
-    ca = state.predicted[con.particles_a].mean(axis=0) + con.offset_a
-    cb = state.predicted[con.particles_b].mean(axis=0) + con.offset_b
-    return float(np.linalg.norm(cb - ca)) - (con.r_a + con.r_b)
-
-
 def solve_step(state: ParticleState,
                distance_constraints: Sequence[DistanceConstraint],
-               collision_constraints: Sequence[CollisionConstraint],
+               collisions: np.ndarray,
                config: SolverConfig, frame: int = 0) -> List[float]:
     """Gauss-Seidel sweeps, then commit positions and update velocities.
+
+    ``collisions`` holds one ``COLLISION_DTYPE`` row per contact.  Each
+    collision removes its violation C = |c_b - c_a| - (r_a + r_b) by moving
+    the two sides apart along the current center line, split by
+    inverse-mass sums and shared within each side in proportion to inverse
+    mass (pinned particles never move).
 
     Returns the convergence trace: max absolute constraint violation seen in
     each sweep.  Raises SolverInstabilityError when positions go non-finite.
@@ -199,16 +154,11 @@ def solve_step(state: ParticleState,
     pz = state.predicted[:, 2].tolist()
     w = state.inv_mass.tolist()
     dcons = [(c.i, c.j, c.rest_length, c.stiffness) for c in distance_constraints]
-    ccons = []
-    for c in collision_constraints:
-        ccons.append((
-            int(c.particles_a[0]), int(c.particles_a[1]), int(c.particles_a[2]),
-            int(c.particles_b[0]), int(c.particles_b[1]), int(c.particles_b[2]),
-            float(c.offset_a[0]), float(c.offset_a[1]), float(c.offset_a[2]),
-            float(c.offset_b[0]), float(c.offset_b[1]), float(c.offset_b[2]),
-            c.r_a + c.r_b,
-            float(c.normal_hint[0]), float(c.normal_hint[1]), float(c.normal_hint[2]),
-        ))
+    ccons = list(zip(
+        collisions["particles"].tolist(),
+        collisions["offsets"].reshape(-1, 6).tolist(),
+        collisions["radius_sum"].tolist(),
+        collisions["normal_hint"].tolist())) if len(collisions) else []
     sqrt = math.sqrt
     trace: List[float] = []
     for _ in range(config.iterations):
@@ -239,8 +189,8 @@ def solve_step(state: ParticleState,
             px[j] += wj * sx
             py[j] += wj * sy
             pz[j] += wj * sz
-        for (a0, a1, a2, b0, b1, b2, oax, oay, oaz, obx, oby, obz,
-             rsum, hx, hy, hz) in ccons:
+        for ((a0, a1, a2, b0, b1, b2), (oax, oay, oaz, obx, oby, obz),
+             rsum, (hx, hy, hz)) in ccons:
             cax = (px[a0] + px[a1] + px[a2]) / 3.0 + oax
             cay = (py[a0] + py[a1] + py[a2]) / 3.0 + oay
             caz = (pz[a0] + pz[a1] + pz[a2]) / 3.0 + oaz

@@ -480,8 +480,9 @@ def two_sphere_impact(method: str = "circumsphere", frames: int = 100,
     """Two deformable spheres (~10k triangles total) on a collision course.
 
     The approach speed keeps the hollow shells from pancaking through each
-    other: they meet, squash gently, and rebound within the default frame
-    budget.
+    other: they meet and squash gently.  They do not rebound within the
+    default frame budget; the right shell's mean x-velocity minus the
+    left's is still -0.105 m/s at frame 100 and -0.021 m/s at frame 200.
     """
     left = ObjectSpec(name="left", generator="icosphere", subdivision=4,
                       radius=0.5, center=np.array([-0.56, 0.0, 0.0]),

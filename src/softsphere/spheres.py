@@ -22,8 +22,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .mesh import (CurvatureField, MeshError, TriangleMesh, bbox_diagonal,
-                   triangle_normals)
+from .mesh import CurvatureField, MeshError, TriangleMesh, bbox_diagonal
 
 
 @dataclass
@@ -285,8 +284,3 @@ def update_spheres(sset: SphereSet, mesh: TriangleMesh, params: SphereParams,
     sset.ref_radii[idx] = r
     sset.build_frames[idx] = frame
     return count
-
-
-def current_triangle_normals(mesh: TriangleMesh) -> np.ndarray:
-    """Convenience re-export used by detection call sites."""
-    return triangle_normals(mesh.vertices, mesh.triangles)

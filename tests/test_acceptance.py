@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from softsphere.detect import (CandidatePair, baseline_bounding_ball,
-                               cone_validate, sphere_overlap)
+                               min_bounding_spheres)
 from softsphere.harness import (DEFAULT_D_GRID, compare_methods, run_scene,
                                 sweep_d)
 from softsphere.mesh import cloth_grid, compute_curvature, icosphere
@@ -24,8 +24,8 @@ from softsphere.spheres import (SphereParams, build_sphere_set, circumcenter,
                                 hermite_factor, sphere_radius,
                                 sphere_through_triangle)
 
-from test_detect import (EQ_TRI_A, EQ_TRI_B, crossing_pair, random_triangle,
-                         sampled_gap)
+from test_detect import (EQ_TRI_A, EQ_TRI_B, crossing_pair, narrow_pair,
+                         random_triangle, sampled_gap, triangle_input)
 
 
 def verdict(num: int, label: str, ok: bool, detail: str) -> None:
@@ -117,12 +117,11 @@ def test_criterion_3_sphere_placement_law():
 # ---------------------------------------------------------------------------
 
 
-def _default_flat_sphere(tri, triangle=0):
+def _default_flat_sphere(tri):
     """The sphere the default parameters assign an isolated flat triangle."""
     params = SphereParams(k_threshold=1.0)
     _, r_c = circumcenter(*tri)
-    return sphere_through_triangle(*tri, sphere_radius(r_c, 0.0, params),
-                                   triangle=triangle)
+    return sphere_through_triangle(*tri, sphere_radius(r_c, 0.0, params))
 
 
 def test_criterion_4_prefilter_recall():
@@ -136,9 +135,9 @@ def test_criterion_4_prefilter_recall():
         tri_a, tri_b = crossing_pair(rng)
         gap, bound = sampled_gap(tri_a, tri_b)
         certified += gap <= bound
-        contact = sphere_overlap(_default_flat_sphere(tri_a),
-                                 _default_flat_sphere(tri_b, triangle=1))
-        flagged += contact is not None
+        _, raw = narrow_pair(triangle_input(_default_flat_sphere(tri_a)),
+                             triangle_input(_default_flat_sphere(tri_b)))
+        flagged += raw == 1
     ok = certified == 1000 and flagged == 1000
     verdict(4, "prefilter recall", ok,
             f"{certified}/1000 pairs oracle-certified as intersecting, "
@@ -155,18 +154,21 @@ def test_criterion_5_coplanar_neighbor_rejection():
     _, r_c = circumcenter(*EQ_TRI_A)
     sa = sphere_through_triangle(*EQ_TRI_A, 2.0 * r_c, triangle=0)
     sb = sphere_through_triangle(*EQ_TRI_B, 2.0 * r_c, triangle=1)
-    contact = sphere_overlap(sa, sb)
-    deep = contact is not None and contact.depth > r_c
-    rejected = cone_validate(contact, sa, sb, up, up,
-                             tol=math.radians(5.0), two_sided=True) is None
+    a, b = triangle_input(sa), triangle_input(sb)
+    facing_up = np.allclose(a.normals, up) and np.allclose(b.normals, up)
+    contacts, raw = narrow_pair(a, b, tol=math.radians(5.0), two_sided=True)
+    depth = sa.radius + sb.radius - np.linalg.norm(sb.center - sa.center)
+    deep = raw == 1 and depth > r_c
+    rejected = facing_up and len(contacts) == 0
+    tri = np.array([[0, 1, 2]])
     ball_contacts, ball_raw = baseline_bounding_ball(
-        CandidatePair(0, 1), EQ_TRI_A, np.array([[0, 1, 2]]),
-        EQ_TRI_B, np.array([[0, 1, 2]]))
+        CandidatePair(0, 1), min_bounding_spheres(EQ_TRI_A, tri),
+        min_bounding_spheres(EQ_TRI_B, tri), tri)
     spurious = ball_raw == 1 and len(ball_contacts) == 1
     ok = deep and rejected and spurious
     verdict(5, "coplanar neighbor rejection", ok,
-            f"sphere depth {0.0 if contact is None else contact.depth:.3f} "
-            f"(R_c = {r_c:.3f}); cone verdict rejected={rejected}; "
+            f"sphere depth {depth:.3f} (R_c = {r_c:.3f}), raw overlaps "
+            f"{raw}; cone verdict rejected={rejected}; "
             f"bounding-ball contacts {len(ball_contacts)}")
 
 

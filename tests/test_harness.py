@@ -13,8 +13,11 @@ import numpy as np
 import pytest
 
 from softsphere.cli import main as cli_main
+from softsphere.detect import CandidatePair
 from softsphere.harness import (COMPARE_FIELDS, CSV_FIELDS, DET_FIELDS,
-                                SWEEP_FIELDS, FrameMetrics, compare_methods,
+                                SWEEP_FIELDS, FrameMetrics,
+                                _CircumsphereMethod, _collision_constraints,
+                                _participating_vertices, compare_methods,
                                 run_scene, stability_metric, sweep_d,
                                 tunneled_count)
 from softsphere.pbd import SolverInstabilityError
@@ -351,6 +354,64 @@ def test_parse_scene_file_missing_file():
 
 
 # ---------------------------------------------------------------------------
+# constraint synthesis
+# ---------------------------------------------------------------------------
+
+
+def test_collision_constraints_capture_the_contact_spheres():
+    """Narrow-phase contacts between a deformable and a static icosphere,
+    with the candidate pair given both ways round so each side holds both
+    objects.  Each solver row must reproduce the contact spheres: centroid
+    of the predicted triangle plus stored offset is the sphere center, the
+    radius sum is r_a + r_b, and the particle ids are the global triangle
+    ids.  The predicted positions are nudged below the rebuild threshold,
+    so the offsets must absorb the difference between the stale spheres and
+    the moved triangles."""
+    config = scene_of(ball_spec(name="soft", subdivision=2,
+                                center=(-0.47, 0.0, 0.0), mass=0.01),
+                      ball_spec(name="rock", subdivision=2,
+                                center=(0.47, 0.0, 0.0), mass=0.0))
+    world = generate_scene(config)
+    method = _CircumsphereMethod(world, config)
+    soft, rock = world.objects
+    predicted = world.state.positions.copy()
+    predicted[soft.vertex_slice()] += np.random.default_rng(7).normal(
+        scale=1e-3, size=(soft.num_vertices, 3))
+    meshes = [world.mesh_of(o, predicted) for o in world.objects]
+    contacts, _, rebuilds = method.detect(
+        1, meshes, [CandidatePair(0, 1), CandidatePair(1, 0)])
+    assert rebuilds == 0 and len(contacts) > 0
+    assert set(contacts.obj_a.tolist()) == {0, 1}
+
+    rows = _collision_constraints(contacts, world, method, predicted)
+    assert len(rows) == len(contacts)
+    assert np.array_equal(rows["normal_hint"], contacts.normal)
+    for side, (objs, tris) in enumerate(((contacts.obj_a, contacts.tri_a),
+                                         (contacts.obj_b, contacts.tri_b))):
+        ids = rows["particles"][:, 3 * side:3 * side + 3]
+        for k in range(len(contacts)):
+            obj = world.objects[objs[k]]
+            sset = method.sets[objs[k]]
+            assert np.array_equal(ids[k], obj.global_triangles()[tris[k]])
+            center = predicted[ids[k]].mean(axis=0) + rows["offsets"][k, side]
+            assert np.allclose(center, sset.centers[tris[k]], rtol=0,
+                               atol=1e-12)
+    radii = [method.sets[o].radii for o in range(2)]
+    for k, c in enumerate(contacts):
+        assert rows["radius_sum"][k] == radii[c.obj_a][c.tri_a] + \
+            radii[c.obj_b][c.tri_b]
+
+    touched = _participating_vertices(contacts, world)
+    expect = np.unique([v for c in contacts
+                        for o, t in ((c.obj_a, c.tri_a), (c.obj_b, c.tri_b))
+                        if o == soft.index
+                        for v in soft.global_triangles()[t]])
+    assert np.array_equal(touched, expect)
+    assert not np.any((touched >= rock.first_vertex)
+                      & (touched < rock.first_vertex + rock.num_vertices))
+
+
+# ---------------------------------------------------------------------------
 # run_scene
 # ---------------------------------------------------------------------------
 
@@ -594,6 +655,42 @@ def test_cli_compare_prints_a_table(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "circumsphere" in out and "bounding-ball" in out
+
+
+CRUSH_SCENE = textwrap.dedent("""\
+    [scene]
+    frames = 100
+    iterations = 2
+    gravity = 0 0 0
+
+    [object:left]
+    generator = icosphere
+    subdivision = 2
+    center = -0.56 0 0
+    mass = 0.01
+    velocity = 6 0 0
+
+    [object:right]
+    generator = icosphere
+    subdivision = 2
+    center = 0.56 0 0
+    mass = 0.01
+    velocity = -6 0 0
+    """)
+
+
+def test_cli_degenerate_triangle_mid_run_exits_3(tmp_path, capsys):
+    """Two coarse shells meeting at 12 m/s crush a triangle flat partway
+    through the run: the sphere rebuild rejects it, the command exits 3,
+    and the rows of the frames before it stay on disk."""
+    path = tmp_path / "crush.ini"
+    path.write_text(CRUSH_SCENE)
+    out = tmp_path / "crush.csv"
+    assert cli_main(["run", str(path), "--out", str(out)]) == 3
+    assert "degenerate triangle" in capsys.readouterr().err
+    lines = out.read_text().splitlines()
+    assert lines[0] == ",".join(CSV_FIELDS)
+    assert 1 <= len(lines) - 1 < 100, "a partial run, cut short"
 
 
 def test_cli_instability_exits_3(capsys, monkeypatch):

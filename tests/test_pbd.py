@@ -1,9 +1,10 @@
 """Solver tests: prediction, constraint projection, stepping, conservation.
 
 Conservation checks compute total momentum directly from masses and
-velocities; projection checks apply the returned corrections by hand and
-re-measure the constraint, so the expected values come from the constraint
-definitions rather than from the code under test.
+velocities; distance-projection checks apply the returned corrections by
+hand, and collision checks run one solver sweep, then re-measure the
+constraint, so the expected values come from the constraint definitions
+rather than from the code under test.
 """
 
 import math
@@ -11,11 +12,10 @@ import math
 import numpy as np
 import pytest
 
-from softsphere.pbd import (CollisionConstraint, DistanceConstraint,
+from softsphere.pbd import (COLLISION_DTYPE, DistanceConstraint,
                             ParticleState, SolverConfig,
-                            SolverInstabilityError, collision_violation,
-                            predict, project_collision, project_distance,
-                            solve_step)
+                            SolverInstabilityError, predict,
+                            project_distance, solve_step)
 
 
 def total_momentum(state: ParticleState) -> np.ndarray:
@@ -159,57 +159,72 @@ def _two_triangle_contact(gap, w_a=1.0, w_b=1.0, r=0.5):
     centroid = tri.mean(axis=0)
     inv = np.concatenate([np.full(3, w_a), np.full(3, w_b)])
     state = ParticleState.rest(pos, inv)
-    con = CollisionConstraint(
-        particles_a=np.array([0, 1, 2]),
-        particles_b=np.array([3, 4, 5]),
-        offset_a=-centroid,          # sphere centers at the first vertex row
-        offset_b=-centroid,
-        r_a=r, r_b=r,
-        normal_hint=np.array([1.0, 0.0, 0.0]))
+    con = np.zeros(1, dtype=COLLISION_DTYPE)
+    con["particles"] = [0, 1, 2, 3, 4, 5]
+    con["offsets"] = [-centroid, -centroid]  # centers at the first vertices
+    con["radius_sum"] = r + r
+    con["normal_hint"] = [1.0, 0.0, 0.0]
     return state, con
+
+
+def _sphere_centers(con, positions):
+    """Both contact-sphere centers: triangle centroid plus stored offset."""
+    p = positions[con["particles"][0]]
+    offsets = con["offsets"][0]
+    return p[:3].mean(axis=0) + offsets[0], p[3:].mean(axis=0) + offsets[1]
+
+
+def _violation(con, positions) -> float:
+    """C = |c_b - c_a| - (r_a + r_b); negative means penetrating."""
+    ca, cb = _sphere_centers(con, positions)
+    return float(np.linalg.norm(cb - ca)) - float(con["radius_sum"][0])
+
+
+def _project_once(state, con) -> np.ndarray:
+    """One solver sweep over the contact alone; returns each particle's move."""
+    before = state.positions.copy()
+    solve_step(state, [], con, SolverConfig(dt=0.01, iterations=1,
+                                            gravity=np.zeros(3), damping=1.0))
+    return state.positions - before
 
 
 def test_project_collision_separated_is_a_no_op():
     state, con = _two_triangle_contact(gap=1.5)
-    assert collision_violation(con, state) == pytest.approx(0.5)
-    assert project_collision(con, state) == []
+    assert _violation(con, state.positions) == pytest.approx(0.5)
+    assert not np.any(_project_once(state, con))
 
 
 def test_project_collision_pinned_side_b_moves_a_fully():
     """Depth 0.1 with side b pinned: side a's centroid retreats the full
     0.1 and the violation closes to zero."""
     state, con = _two_triangle_contact(gap=0.9, w_b=0.0)
-    assert collision_violation(con, state) == pytest.approx(-0.1)
-    out = project_collision(con, state)
-    assert sorted(idx for idx, _ in out) == [0, 1, 2], "only side a moves"
-    for idx, delta in out:
-        assert np.allclose(delta, [-0.1, 0.0, 0.0], atol=1e-12)
-        state.predicted[idx] += delta
-    assert collision_violation(con, state) == pytest.approx(0.0, abs=1e-12)
+    assert _violation(con, state.positions) == pytest.approx(-0.1)
+    moved = _project_once(state, con)
+    assert not np.any(moved[3:]), "only side a moves"
+    assert np.allclose(moved[:3], [-0.1, 0.0, 0.0], atol=1e-12)
+    assert _violation(con, state.positions) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_project_collision_equal_masses_split_the_depth():
     """Depth 0.1 with equal masses: each centroid moves 0.05 and the sphere
     centers end exactly one radius sum apart."""
     state, con = _two_triangle_contact(gap=0.9)
-    out = project_collision(con, state)
-    assert sorted(idx for idx, _ in out) == [0, 1, 2, 3, 4, 5]
-    before_a = state.predicted[[0, 1, 2]].mean(axis=0)
-    before_b = state.predicted[[3, 4, 5]].mean(axis=0)
-    for idx, delta in out:
-        state.predicted[idx] += delta
-    after_a = state.predicted[[0, 1, 2]].mean(axis=0)
-    after_b = state.predicted[[3, 4, 5]].mean(axis=0)
+    before_a = state.positions[[0, 1, 2]].mean(axis=0)
+    before_b = state.positions[[3, 4, 5]].mean(axis=0)
+    moved = _project_once(state, con)
+    assert np.all(np.any(moved != 0.0, axis=1)), "all six particles move"
+    after_a = state.positions[[0, 1, 2]].mean(axis=0)
+    after_b = state.positions[[3, 4, 5]].mean(axis=0)
     assert np.allclose(after_a - before_a, [-0.05, 0.0, 0.0], atol=1e-12)
     assert np.allclose(after_b - before_b, [+0.05, 0.0, 0.0], atol=1e-12)
-    ca = after_a + con.offset_a
-    cb = after_b + con.offset_b
-    assert np.linalg.norm(cb - ca) == pytest.approx(con.r_a + con.r_b, abs=1e-6)
+    ca, cb = _sphere_centers(con, state.positions)
+    assert np.linalg.norm(cb - ca) == pytest.approx(con["radius_sum"][0],
+                                                    abs=1e-6)
 
 
 def test_project_collision_fully_pinned_contact_is_skipped():
     state, con = _two_triangle_contact(gap=0.9, w_a=0.0, w_b=0.0)
-    assert project_collision(con, state) == []
+    assert not np.any(_project_once(state, con))
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +322,7 @@ def test_solve_step_momentum_survives_collision_projection():
                           damping=1.0)
     before = total_momentum(state)
     predict(state, config)
-    solve_step(state, [], [con], config)
+    solve_step(state, [], con, config)
     after = total_momentum(state)
     assert np.linalg.norm(after - before) <= 1e-6 * np.linalg.norm(before)
 

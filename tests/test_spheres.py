@@ -15,8 +15,7 @@ from softsphere.mesh import (MeshError, cloth_grid, compute_curvature,
                              icosphere)
 from softsphere.spheres import (Circumsphere, SphereParams, SphereSet,
                                 build_circumsphere, build_sphere_set,
-                                circumcenter, current_triangle_normals,
-                                hermite_factor, shape_change,
+                                circumcenter, hermite_factor, shape_change,
                                 shape_changes_bulk, sphere_radius,
                                 sphere_through_triangle, update_spheres)
 
@@ -446,9 +445,3 @@ def test_update_touches_only_spheres_past_the_gate():
     dist = np.linalg.norm(pts - sset.centers[touches_v0][:, None, :], axis=2)
     err = np.abs(dist - sset.radii[touches_v0][:, None])
     assert np.all(err <= 1e-6 * sset.radii[touches_v0][:, None])
-
-
-def test_current_triangle_normals_flat_grid_points_up():
-    mesh = cloth_grid(3, 0.1)
-    n = current_triangle_normals(mesh)
-    assert np.allclose(n, [0.0, 1.0, 0.0], atol=1e-12)
