@@ -14,10 +14,8 @@ from .detect import (BoundingSphere, CandidatePair, NarrowInput,
                      object_bounding_sphere, polygon_exact_contacts)
 from .harness import (FrameMetrics, RunResult, compare_methods, run_scene,
                       stability_metric, sweep_d, tunneled_count)
-from .mesh import (Adjacency, CurvatureField, DualMesh, MeshError,
-                   TriangleMesh, angle_deficit_curvature, build_adjacency,
-                   build_dual_mesh, cloth_grid, compute_curvature, icosphere,
-                   load_mesh, plane_floor, save_mesh, triangle_curvature,
+from .mesh import (MeshError, TriangleMesh, cloth_grid, compute_curvature,
+                   icosphere, load_mesh, plane_floor, save_mesh,
                    validate_mesh)
 from .pbd import (DistanceConstraint, ParticleState, SolverConfig,
                   SolverInstabilityError, predict, project_distance,
@@ -34,21 +32,18 @@ from .spheres import (Circumsphere, SphereParams, SphereSet,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Adjacency", "BoundingSphere", "BUILTIN_SCENES", "CandidatePair",
-    "Circumsphere", "CurvatureField", "DistanceConstraint", "DualMesh",
-    "FrameMetrics", "MeshError", "NarrowInput", "ObjectSpec", "ParticleState",
-    "RunResult", "SceneConfig", "SceneError", "SceneObject", "SolverConfig",
-    "SolverInstabilityError", "SphereParams", "SphereSet", "TriangleMesh",
-    "World", "angle_deficit_curvature", "baseline_bounding_ball",
-    "broad_phase", "build_adjacency", "build_circumsphere", "build_dual_mesh",
-    "build_sphere_set", "builtin_scene", "circumcenter", "cloth_grid",
-    "cloth_over_sphere", "compare_methods", "compute_curvature",
-    "exact_tri_tri", "generate_scene", "hermite_factor", "icosphere",
-    "load_mesh", "min_bounding_spheres", "narrow_phase",
+    "BoundingSphere", "BUILTIN_SCENES", "CandidatePair", "Circumsphere",
+    "DistanceConstraint", "FrameMetrics", "MeshError", "NarrowInput",
+    "ObjectSpec", "ParticleState", "RunResult", "SceneConfig", "SceneError",
+    "SceneObject", "SolverConfig", "SolverInstabilityError", "SphereParams",
+    "SphereSet", "TriangleMesh", "World", "baseline_bounding_ball",
+    "broad_phase", "build_circumsphere", "build_sphere_set", "builtin_scene",
+    "circumcenter", "cloth_grid", "cloth_over_sphere", "compare_methods",
+    "compute_curvature", "exact_tri_tri", "generate_scene", "hermite_factor",
+    "icosphere", "load_mesh", "min_bounding_spheres", "narrow_phase",
     "object_bounding_sphere", "parse_scene_file", "plane_floor",
     "polygon_exact_contacts", "predict", "project_distance", "run_scene",
     "save_mesh", "shape_change", "solve_step", "sphere_drop_on_plane",
     "sphere_radius", "sphere_through_triangle", "stability_metric", "sweep_d",
-    "triangle_curvature", "tunneled_count", "two_sphere_impact",
-    "update_spheres", "validate_mesh",
+    "tunneled_count", "two_sphere_impact", "update_spheres", "validate_mesh",
 ]

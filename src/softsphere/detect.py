@@ -15,9 +15,9 @@ Baselines for method comparison:
   pair of a candidate object pair (mutual plane-side rejection is stage one of
   the exact test; there is no sphere prefilter).
 
-The pairwise kernels do their bulk filtering in float32 matrix algebra with a
-safety slack, then confirm candidates exactly in float64, so large pair
-counts stay fast without changing which pairs are found.
+Sphere overlaps are found by a float64 sorted-slab scan.  Only the bulk
+plane-side filter of ``polygon-exact`` works in float32, with a conservative
+margin, before it confirms survivors exactly in float64.
 
 Every detector returns its contacts as one record array of
 ``CONTACT_DTYPE`` rows (object and triangle indices plus the unit
@@ -34,10 +34,6 @@ import numpy as np
 
 from .mesh import TriangleMesh
 from .spheres import SphereParams, SphereSet, _circumcenters_bulk
-
-# slack added to float32 filter thresholds before float64 confirmation
-_F32_SLACK = 1e-4
-
 
 @dataclass
 class BoundingSphere:
@@ -104,44 +100,9 @@ def broad_phase(spheres: Sequence[BoundingSphere]) -> List[CandidatePair]:
 
 _EMPTY_PAIRS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
-
-def _dense_candidates(centers_a: np.ndarray, radii_a: np.ndarray,
-                      centers_b: np.ndarray, radii_b: np.ndarray,
-                      block: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Blocked all-pairs scan: float32 prefilter, float64 confirmation."""
-    ca32 = centers_a.astype(np.float32)
-    cbt = centers_b.astype(np.float32).T.copy()
-    a2 = np.einsum("ij,ij->i", ca32, ca32)
-    b2 = np.einsum("ij,ji->i", cbt.T, cbt)
-    ra32 = radii_a.astype(np.float32)
-    rb32 = radii_b.astype(np.float32)
-    out_i: List[np.ndarray] = []
-    out_j: List[np.ndarray] = []
-    for start in range(0, len(centers_a), block):
-        stop = min(start + block, len(centers_a))
-        # d2 = |a|^2 + |b|^2 - 2 a.b, built in place on the GEMM result
-        d2 = ca32[start:stop] @ cbt
-        d2 *= -2.0
-        d2 += a2[start:stop, None]
-        d2 += b2[None, :]
-        # limit = (r_a + r_b)^2 inflated by the float32 slack
-        lim = ra32[start:stop, None] + rb32[None, :]
-        np.multiply(lim, lim, out=lim)
-        lim *= 1.0 + _F32_SLACK
-        lim += _F32_SLACK
-        ii, jj = np.nonzero(d2 < lim)
-        if ii.size:
-            out_i.append(ii + start)
-            out_j.append(jj)
-    if not out_i:
-        return _EMPTY_PAIRS
-    ia = np.concatenate(out_i)
-    ib = np.concatenate(out_j)
-    # exact float64 confirmation of the strict overlap
-    diff = centers_a[ia] - centers_b[ib]
-    dist = np.linalg.norm(diff, axis=1)
-    keep = dist < radii_a[ia] + radii_b[ib]
-    return ia[keep], ib[keep]
+# row blocks of a slab pass hold at most this many sphere pairs, which caps
+# memory when most spheres share a few slabs
+_SLAB_BLOCK_PAIRS = 1 << 20
 
 
 def _slab_candidates(centers_a: np.ndarray, radii_a: np.ndarray,
@@ -152,7 +113,8 @@ def _slab_candidates(centers_a: np.ndarray, radii_a: np.ndarray,
 
     ``width`` must be at least the largest possible reach r_a + r_b, so a
     pair in slabs further than one apart is separated by more than its
-    radii sum along the axis alone.
+    radii sum along the axis alone.  Every distance test is float64 on
+    center differences, so scenes far from the origin lose no pairs.
     """
     origin = min(float(centers_a[:, axis].min()),
                  float(centers_b[:, axis].min()))
@@ -165,19 +127,22 @@ def _slab_candidates(centers_a: np.ndarray, radii_a: np.ndarray,
     out_i: List[np.ndarray] = []
     out_j: List[np.ndarray] = []
     for key in np.unique(key_a):
-        rows = np.nonzero(key_a == key)[0]
+        in_slab = np.nonzero(key_a == key)[0]
         lo = np.searchsorted(sorted_b, key - 1, side="left")
         hi = np.searchsorted(sorted_b, key + 1, side="right")
         if lo == hi:
             continue
         cols = np.arange(lo, hi)
-        diff = centers_a[rows][:, None, :] - cb_sorted[None, lo:hi, :]
-        d2 = np.einsum("ikj,ikj->ik", diff, diff)
-        rsum = radii_a[rows][:, None] + rb_sorted[None, lo:hi]
-        ii, jj = np.nonzero(d2 < rsum * rsum)
-        if ii.size:
-            out_i.append(rows[ii])
-            out_j.append(order_b[cols[jj]])
+        step = max(1, _SLAB_BLOCK_PAIRS // (hi - lo))
+        for start in range(0, in_slab.size, step):
+            rows = in_slab[start:start + step]
+            diff = centers_a[rows][:, None, :] - cb_sorted[None, lo:hi, :]
+            d2 = np.einsum("ikj,ikj->ik", diff, diff)
+            rsum = radii_a[rows][:, None] + rb_sorted[None, lo:hi]
+            ii, jj = np.nonzero(d2 < rsum * rsum)
+            if ii.size:
+                out_i.append(rows[ii])
+                out_j.append(order_b[cols[jj]])
     if not out_i:
         return _EMPTY_PAIRS
     return np.concatenate(out_i), np.concatenate(out_j)
@@ -185,28 +150,21 @@ def _slab_candidates(centers_a: np.ndarray, radii_a: np.ndarray,
 
 def _overlap_candidates(centers_a: np.ndarray, radii_a: np.ndarray,
                         centers_b: np.ndarray, radii_b: np.ndarray,
-                        same_object: bool, block: int = 2048
-                        ) -> Tuple[np.ndarray, np.ndarray]:
-    """Index pairs with |c_a - c_b| < r_a + r_b (strict, float64 semantics).
+                        same_object: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """Index pairs with |c_a - c_b| < r_a + r_b (strict, float64).
 
-    Splits space into slabs along the widest axis when the spheres are small
-    next to the scene extent (the common case), falling back to a blocked
-    all-pairs scan otherwise.  For ``same_object`` only pairs with i < j are
-    produced.
+    Slabs along the widest axis, as wide as the largest possible radius sum.
+    For ``same_object`` only pairs with i < j are produced.
     """
     if len(centers_a) == 0 or len(centers_b) == 0:
         return _EMPTY_PAIRS
     reach = float(radii_a.max() + radii_b.max())
+    if reach <= 0:
+        return _EMPTY_PAIRS
     lo = np.minimum(centers_a.min(axis=0), centers_b.min(axis=0))
     hi = np.maximum(centers_a.max(axis=0), centers_b.max(axis=0))
-    axis = int(np.argmax(hi - lo))
-    span = float(hi[axis] - lo[axis])
-    if reach > 0 and span > 8.0 * reach:
-        ia, ib = _slab_candidates(centers_a, radii_a, centers_b, radii_b,
-                                  axis, reach)
-    else:
-        ia, ib = _dense_candidates(centers_a, radii_a, centers_b, radii_b,
-                                   block)
+    ia, ib = _slab_candidates(centers_a, radii_a, centers_b, radii_b,
+                              int(np.argmax(hi - lo)), reach)
     if same_object and ia.size:
         keep = ia < ib
         ia, ib = ia[keep], ib[keep]

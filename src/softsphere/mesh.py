@@ -1,4 +1,4 @@
-"""Triangle meshes, adjacency, dual mesh, and discrete Gaussian curvature.
+"""Triangle meshes, edge adjacency, and discrete Gaussian curvature.
 
 The mesh layer is deliberately array-first: a :class:`TriangleMesh` is a thin
 validated wrapper around an ``(nv, 3)`` float64 vertex array and an ``(nt, 3)``
@@ -6,7 +6,9 @@ index array.  Everything downstream (sphere generation, detection, the solver)
 consumes those arrays directly, so meshes stay cheap to re-wrap around
 per-frame predicted positions.
 
-Curvature is estimated on the dual mesh: one dual vertex per triangle (its
+Edge adjacency is one ``(nt, 3)`` table from :func:`triangle_neighbors`: the
+triangle across each edge, or -1 on the boundary.  Curvature is estimated on
+the dual mesh that table implies: one dual vertex per triangle (its
 centroid), one dual edge per interior primal edge.  The Gaussian curvature at
 a dual vertex x is the angle deficit of its dual fan divided by the
 barycentric share of the adjacent face area:
@@ -16,13 +18,14 @@ barycentric share of the adjacent face area:
 where alpha_i are the angles at x between consecutive dual-fan edges and A(x)
 is the total area of the primal faces adjacent to x's triangle.  Boundary
 dual vertices (open fans) report K = 0 by convention.
+:func:`compute_curvature` returns K as a plain per-triangle array.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -80,52 +83,6 @@ class TriangleMesh:
         return self.vertices[self.triangles]
 
 
-@dataclass
-class Adjacency:
-    """Edge-adjacency between triangles plus ordered per-vertex fans.
-
-    ``tri_neighbors[t, e]`` is the triangle across edge e of t (edges are
-    (i,j), (j,k), (k,i) in corner order), or -1 on the boundary.
-    ``vertex_fans[v]`` lists the triangles incident to v, ordered by walking
-    across shared edges; interior fans are closed cycles (the walk returns to
-    the starting triangle), boundary fans are open chains.
-    """
-
-    tri_neighbors: np.ndarray
-    vertex_fans: List[np.ndarray]
-    boundary_edges: int = 0
-
-
-@dataclass
-class DualMesh:
-    """Dual graph of a triangle mesh.
-
-    One dual vertex per triangle (at the centroid), one dual edge per interior
-    primal edge.  ``dual_fans[dv]`` is the ordered cycle of neighboring dual
-    vertices; ``face_areas[dv]`` is the area of dv's primal triangle, carried
-    here so curvature queries need no primal mesh.
-    """
-
-    dual_vertices: np.ndarray
-    dual_edges: np.ndarray
-    dual_fans: List[np.ndarray]
-    face_areas: np.ndarray
-
-
-@dataclass
-class CurvatureField:
-    """Gaussian curvature sampled at dual vertices (== per primal triangle)."""
-
-    per_dual_vertex: np.ndarray
-    per_triangle: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        self.per_dual_vertex = np.asarray(self.per_dual_vertex, dtype=np.float64)
-        if self.per_triangle is None:
-            # dual vertex index == triangle index by construction
-            self.per_triangle = self.per_dual_vertex
-
-
 # ---------------------------------------------------------------------------
 # basic geometry helpers
 # ---------------------------------------------------------------------------
@@ -167,21 +124,7 @@ def validate_mesh(mesh: TriangleMesh) -> None:
     if bad.size:
         raise MeshError(f"degenerate triangle {int(bad[0])} "
                         f"(area {areas[bad[0]]:.3g} m^2)")
-    edges = _edge_array(mesh.triangles)
-    uniq, counts = np.unique(edges, axis=0, return_counts=True)
-    over = np.nonzero(counts > 2)[0]
-    if over.size:
-        e = uniq[over[0]]
-        raise MeshError(f"non-manifold edge ({int(e[0])}, {int(e[1])}) "
-                        f"shared by {int(counts[over[0]])} triangles")
-
-
-def _edge_array(triangles: np.ndarray) -> np.ndarray:
-    """All directed edges as sorted (lo, hi) pairs, shape (3*nt, 2)."""
-    e = np.concatenate([triangles[:, [0, 1]],
-                        triangles[:, [1, 2]],
-                        triangles[:, [2, 0]]])
-    return np.sort(e, axis=1)
+    triangle_neighbors(mesh.triangles)
 
 
 # ---------------------------------------------------------------------------
@@ -241,162 +184,53 @@ def save_mesh(mesh: TriangleMesh, path: Union[str, Path]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# adjacency and dual mesh
+# edge adjacency and curvature
 # ---------------------------------------------------------------------------
 
 
-def build_adjacency(mesh: TriangleMesh) -> Adjacency:
-    """Edge adjacency + ordered vertex fans.
+def triangle_neighbors(triangles: np.ndarray) -> np.ndarray:
+    """Edge-neighbour table, shape (nt, 3).
 
-    Raises MeshError for non-manifold edges (shared by three or more
-    triangles), naming the edge.
+    Entry ``[t, e]`` is the triangle across edge e of t (edges are (i,j),
+    (j,k), (k,i) in corner order), or -1 on the boundary.  The 3*nt edge keys
+    are lexsorted so the two sides of an interior edge sit next to each
+    other.  Raises MeshError for a non-manifold edge (shared by three or more
+    triangles), naming the smallest such edge.
     """
-    nt = mesh.num_triangles
-    tri_neighbors = np.full((nt, 3), -1, dtype=np.int64)
-    edge_owner = {}
-    tris = mesh.triangles
-    for t in range(nt):
-        i, j, k = (int(tris[t, 0]), int(tris[t, 1]), int(tris[t, 2]))
-        for e, (a, b) in enumerate(((i, j), (j, k), (k, i))):
-            key = (a, b) if a < b else (b, a)
-            if key not in edge_owner:
-                edge_owner[key] = (t, e)
-            else:
-                t2, e2 = edge_owner[key]
-                if t2 < 0:
-                    raise MeshError(f"non-manifold edge {key} shared by 3+ triangles")
-                tri_neighbors[t, e] = t2
-                tri_neighbors[t2, e2] = t
-                edge_owner[key] = (-1, -1)  # consumed; a third taker is an error
-    boundary = sum(1 for v in edge_owner.values() if v[0] >= 0)
-    fans = _vertex_fans(mesh, tri_neighbors)
-    return Adjacency(tri_neighbors=tri_neighbors, vertex_fans=fans,
-                     boundary_edges=boundary)
+    tris = np.asarray(triangles, dtype=np.int64)
+    keys = np.sort(np.stack([tris, np.roll(tris, -1, axis=1)], axis=2),
+                   axis=2).reshape(-1, 2)            # row 3*t + e
+    order = np.lexsort((keys[:, 1], keys[:, 0]))
+    sorted_keys = keys[order]
+    same = (sorted_keys[1:] == sorted_keys[:-1]).all(axis=1)
+    triple = np.nonzero(same[1:] & same[:-1])[0]
+    if triple.size:
+        lo, hi = sorted_keys[triple[0]]
+        count = int((sorted_keys == (lo, hi)).all(axis=1).sum())
+        raise MeshError(f"non-manifold edge ({int(lo)}, {int(hi)}) "
+                        f"shared by {count} triangles")
+    first = order[:-1][same]
+    second = order[1:][same]
+    nbr = np.full(3 * len(tris), -1, dtype=np.int64)
+    nbr[first] = second // 3
+    nbr[second] = first // 3
+    return nbr.reshape(-1, 3)
 
 
-def _vertex_fans(mesh: TriangleMesh, tri_neighbors: np.ndarray) -> List[np.ndarray]:
-    """Order each vertex's incident triangles by walking across shared edges."""
-    nv = mesh.num_vertices
-    incident: List[List[int]] = [[] for _ in range(nv)]
-    tris = mesh.triangles
-    for t in range(len(tris)):
-        for v in tris[t]:
-            incident[int(v)].append(t)
+def compute_curvature(mesh: TriangleMesh) -> np.ndarray:
+    """Per-triangle Gaussian curvature, shape (nt,), vectorized over fans.
 
-    def next_around(v: int, t: int, prev: Optional[int]) -> Optional[int]:
-        # move to the edge-neighbor of t that contains v and is not prev
-        for e in range(3):
-            a = int(tris[t, e])
-            b = int(tris[t, (e + 1) % 3])
-            if v != a and v != b:
-                continue
-            n = int(tri_neighbors[t, e])
-            if n >= 0 and n != prev:
-                return n
-        return None
-
-    fans: List[np.ndarray] = []
-    for v in range(nv):
-        ring = incident[v]
-        if not ring:
-            fans.append(np.empty(0, dtype=np.int64))
-            continue
-        # prefer starting at a boundary triangle so open chains come out whole
-        start = ring[0]
-        for t in ring:
-            # t is a boundary start if one of its v-edges has no neighbor
-            cnt = 0
-            for e in range(3):
-                a = int(tris[t, e]); b = int(tris[t, (e + 1) % 3])
-                if (v == a or v == b) and int(tri_neighbors[t, e]) < 0:
-                    cnt += 1
-            if cnt:
-                start = t
-                break
-        chain = [start]
-        prev = None
-        cur = start
-        while True:
-            nxt = next_around(v, cur, prev)
-            if nxt is None or nxt == start:
-                break
-            chain.append(nxt)
-            prev, cur = cur, nxt
-            if len(chain) > len(ring):  # safety: malformed connectivity
-                break
-        # if the walk missed triangles (fan pinched at v), keep them appended
-        missing = [t for t in ring if t not in chain]
-        fans.append(np.array(chain + missing, dtype=np.int64))
-    return fans
-
-
-def build_dual_mesh(mesh: TriangleMesh, adj: Optional[Adjacency] = None) -> DualMesh:
-    """Dual vertices at centroids; one dual edge per interior primal edge."""
-    if adj is None:
-        adj = build_adjacency(mesh)
-    centroids = triangle_centroids(mesh.vertices, mesh.triangles)
-    areas = triangle_areas(mesh.vertices, mesh.triangles)
-    nbrs = adj.tri_neighbors
-    edges = []
-    fans: List[np.ndarray] = []
-    for t in range(mesh.num_triangles):
-        fan = nbrs[t][nbrs[t] >= 0]
-        fans.append(fan.astype(np.int64))
-        for n in fan:
-            if t < n:
-                edges.append((t, int(n)))
-    dual_edges = (np.array(edges, dtype=np.int64) if edges
-                  else np.empty((0, 2), dtype=np.int64))
-    return DualMesh(dual_vertices=centroids, dual_edges=dual_edges,
-                    dual_fans=fans, face_areas=areas)
-
-
-# ---------------------------------------------------------------------------
-# curvature
-# ---------------------------------------------------------------------------
-
-
-def angle_deficit_curvature(dual: DualMesh, dv: int) -> float:
-    """Gaussian curvature at one dual vertex: (2pi - sum(angles)) / (A/3).
-
-    Boundary dual vertices (open fans, fewer than 3 neighbors) return 0 by
-    convention.  Angles are measured between consecutive fan edges in cyclic
-    order; A is the total primal face area adjacent to the fan.
+    A triangle's dual fan is its three edge neighbours in table order; the
+    spokes run from its centroid to theirs.  Triangles with a boundary edge
+    (open fans) report 0.
     """
-    fan = dual.dual_fans[dv]
-    if len(fan) < 3:
-        return 0.0
-    x = dual.dual_vertices[dv]
-    spokes = dual.dual_vertices[fan] - x
-    lengths = np.linalg.norm(spokes, axis=1)
-    if np.any(lengths < 1e-300):
-        raise MeshError(f"degenerate dual fan at dual vertex {dv}")
-    angle_sum = 0.0
-    n = len(fan)
-    for a in range(n):
-        u = spokes[a]
-        v = spokes[(a + 1) % n]
-        c = float(np.dot(u, v)) / (lengths[a] * lengths[(a + 1) % n])
-        angle_sum += float(np.arccos(np.clip(c, -1.0, 1.0)))
-    area = float(dual.face_areas[fan].sum())
-    if area <= DEGENERATE_AREA:
-        raise MeshError(f"degenerate (zero-area) fan at dual vertex {dv}")
-    return (2.0 * np.pi - angle_sum) / (area / 3.0)
-
-
-def compute_curvature(mesh: TriangleMesh,
-                      dual: Optional[DualMesh] = None) -> CurvatureField:
-    """Curvature at every dual vertex, vectorized over interior fans."""
-    if dual is None:
-        dual = build_dual_mesh(mesh)
-    nt = len(dual.dual_vertices)
-    K = np.zeros(nt, dtype=np.float64)
-    interior = np.array([t for t in range(nt) if len(dual.dual_fans[t]) == 3],
-                        dtype=np.int64)
+    nbr = triangle_neighbors(mesh.triangles)
+    K = np.zeros(mesh.num_triangles, dtype=np.float64)
+    interior = np.nonzero((nbr >= 0).all(axis=1))[0]
     if interior.size:
-        fan_idx = np.stack([dual.dual_fans[t] for t in interior])  # (ni, 3)
-        x = dual.dual_vertices[interior]                           # (ni, 3)
-        spokes = dual.dual_vertices[fan_idx] - x[:, None, :]       # (ni, 3, 3)
+        centroids = triangle_centroids(mesh.vertices, mesh.triangles)
+        fan_idx = nbr[interior]                                    # (ni, 3)
+        spokes = centroids[fan_idx] - centroids[interior][:, None, :]
         lengths = np.linalg.norm(spokes, axis=2)
         if np.any(lengths < 1e-300):
             bad = interior[np.nonzero(lengths.min(axis=1) < 1e-300)[0][0]]
@@ -407,17 +241,13 @@ def compute_curvature(mesh: TriangleMesh,
             cosang = (np.einsum("ij,ij->i", spokes[:, a], spokes[:, b])
                       / (lengths[:, a] * lengths[:, b]))
             angle_sum += np.arccos(np.clip(cosang, -1.0, 1.0))
-        area = dual.face_areas[fan_idx].sum(axis=1)
+        areas = triangle_areas(mesh.vertices, mesh.triangles)
+        area = areas[fan_idx].sum(axis=1)
         if np.any(area <= DEGENERATE_AREA):
             bad = interior[np.nonzero(area <= DEGENERATE_AREA)[0][0]]
             raise MeshError(f"degenerate (zero-area) fan at dual vertex {int(bad)}")
         K[interior] = (2.0 * np.pi - angle_sum) / (area / 3.0)
-    return CurvatureField(per_dual_vertex=K)
-
-
-def triangle_curvature(fld: CurvatureField, tri: int) -> float:
-    """Curvature of a primal triangle = its dual vertex's curvature."""
-    return float(fld.per_triangle[tri])
+    return K
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .mesh import (MeshError, TriangleMesh, build_adjacency, cloth_grid,
-                   icosphere, load_mesh, plane_floor, triangle_normals,
+from .mesh import (MeshError, TriangleMesh, cloth_grid, icosphere, load_mesh,
+                   plane_floor, triangle_neighbors, triangle_normals,
                    validate_mesh)
 from .pbd import DistanceConstraint, ParticleState
 
@@ -258,11 +258,10 @@ def _resolve_check(spec: ObjectSpec, mesh: TriangleMesh) -> Optional[CheckVolume
         return CheckVolume("halfspace", center=origin,
                            normal=np.array([0.0, 1.0, 0.0]))
     # ray-parity needs a closed surface
-    adj = build_adjacency(mesh)
-    if adj.boundary_edges:
+    boundary = int((triangle_neighbors(mesh.triangles) < 0).sum())
+    if boundary:
         raise SceneError(f"object '{spec.name}': check=ray-parity needs a "
-                         f"closed mesh, found {adj.boundary_edges} "
-                         "boundary edges")
+                         f"closed mesh, found {boundary} boundary edges")
     return CheckVolume("mesh-parity")
 
 

@@ -22,7 +22,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .mesh import CurvatureField, MeshError, TriangleMesh, bbox_diagonal
+from .mesh import MeshError, TriangleMesh, bbox_diagonal
 
 
 @dataclass
@@ -89,7 +89,6 @@ class SphereSet:
         self.ref_vertices = ref_vertices
         self.ref_radii = ref_radii
         self.build_frames = build_frames
-        self.rebuild_count_this_frame = 0
 
     def __len__(self) -> int:
         return len(self.radii)
@@ -235,12 +234,15 @@ def _radius_law_bulk(r_c: np.ndarray, K: np.ndarray, params: SphereParams) -> np
     return f * r_flat + (1.0 - f) * r_curv
 
 
-def build_sphere_set(mesh: TriangleMesh, curvature: CurvatureField,
+def build_sphere_set(mesh: TriangleMesh, curvature: np.ndarray,
                      params: SphereParams, frame: int = 0) -> SphereSet:
-    """Build every triangle's sphere in one vectorized pass."""
+    """Build every triangle's sphere in one vectorized pass.
+
+    ``curvature`` is the per-triangle array from ``compute_curvature``.
+    """
     p = mesh.triangle_points()
     cc, r_c, n = _circumcenters_bulk(p)
-    r = _radius_law_bulk(r_c, np.asarray(curvature.per_triangle), params)
+    r = _radius_law_bulk(r_c, curvature, params)
     r = np.maximum(r, r_c)
     phi = np.sqrt(np.maximum(r * r - r_c * r_c, 0.0))
     centers = cc - phi[:, None] * n
@@ -259,7 +261,7 @@ def shape_changes_bulk(sset: SphereSet, positions: np.ndarray,
 
 
 def update_spheres(sset: SphereSet, mesh: TriangleMesh, params: SphereParams,
-                   curvature: CurvatureField, frame: int) -> int:
+                   curvature: np.ndarray, frame: int) -> int:
     """Rebuild exactly the spheres whose shape change exceeds the threshold.
 
     Returns the number rebuilt.  Untouched spheres keep their snapshots and
@@ -268,13 +270,12 @@ def update_spheres(sset: SphereSet, mesh: TriangleMesh, params: SphereParams,
     changes = shape_changes_bulk(sset, mesh.vertices, mesh.triangles)
     mask = changes > params.update_threshold_d
     count = int(np.count_nonzero(mask))
-    sset.rebuild_count_this_frame = count
     if count == 0:
         return 0
     idx = np.nonzero(mask)[0]
     p = mesh.vertices[mesh.triangles[idx]]
     cc, r_c, n = _circumcenters_bulk(p)
-    K = np.asarray(curvature.per_triangle)[idx]
+    K = curvature[idx]
     r = np.maximum(_radius_law_bulk(r_c, K, params), r_c)
     phi = np.sqrt(np.maximum(r * r - r_c * r_c, 0.0))
     sset.centers[idx] = cc - phi[:, None] * n

@@ -53,7 +53,7 @@ def test_criterion_1_unit_sphere_curvature():
     close to the true Gaussian curvature of 1, quickly."""
     t0 = perf_counter()
     ball = icosphere(3, radius=1.0)
-    K = compute_curvature(ball).per_dual_vertex
+    K = compute_curvature(ball)
     elapsed = perf_counter() - t0
     frac = float(np.mean(np.abs(K - 1.0) <= 0.15))
     ok = frac >= 0.90 and elapsed < 1.0
@@ -72,7 +72,7 @@ def test_criterion_2_flat_grid_radius_law():
     curv = compute_curvature(grid)
     params = SphereParams.for_mesh(grid)
     factors = np.array([hermite_factor(float(k), params.k_threshold)
-                        for k in curv.per_triangle])
+                        for k in curv])
     sset = build_sphere_set(grid, curv, params)
     r_c = np.array([circumcenter(*grid.vertices[t])[1]
                     for t in grid.triangles])

@@ -15,9 +15,10 @@ import math
 import numpy as np
 import pytest
 
+from softsphere import detect
 from softsphere.detect import (BoundingSphere, CandidatePair, NarrowInput,
-                               _dense_candidates, _drop_vertex_sharing,
-                               _exact_tri_tri_bulk, _overlap_candidates,
+                               _drop_vertex_sharing, _exact_tri_tri_bulk,
+                               _overlap_candidates,
                                baseline_bounding_ball, broad_phase,
                                exact_tri_tri, min_bounding_spheres,
                                narrow_phase, object_bounding_sphere,
@@ -611,17 +612,24 @@ def test_intersecting_triangles_always_overlap_as_spheres():
 # ---------------------------------------------------------------------------
 
 
+def brute_force_overlaps(ca, ra, cb, rb) -> set:
+    """All (i, j) with |ca[i] - cb[j]| < ra[i] + rb[j], every pair, float64."""
+    d2 = ((ca[:, None, :] - cb[None, :, :]) ** 2).sum(axis=2)
+    ii, jj = np.nonzero(d2 < (ra[:, None] + rb[None, :]) ** 2)
+    return set(zip(ii.tolist(), jj.tolist()))
+
+
 def test_overlap_candidates_slab_path_matches_dense_scan():
-    """The sorted-slab shortcut must produce exactly the blocked all-pairs
-    result, including on elongated scenes that trigger the slab path."""
+    """The sorted-slab scan finds exactly the all-pairs overlaps, on an
+    elongated layout that spreads the spheres over many slabs."""
     rng = np.random.default_rng(31)
     ca = rng.uniform(0, 1, size=(800, 3)) * np.array([40.0, 1.0, 1.0])
     cb = rng.uniform(0, 1, size=(700, 3)) * np.array([40.0, 1.0, 1.0])
     ra = rng.uniform(0.05, 0.3, size=800)
     rb = rng.uniform(0.05, 0.3, size=700)
     ia, ib = _overlap_candidates(ca, ra, cb, rb, same_object=False)
-    ja, jb = _dense_candidates(ca, ra, cb, rb, block=256)
-    assert set(zip(ia.tolist(), ib.tolist())) == set(zip(ja.tolist(), jb.tolist()))
+    expect = brute_force_overlaps(ca, ra, cb, rb)
+    assert set(zip(ia.tolist(), ib.tolist())) == expect
     assert ia.size > 0, "the layout must actually produce overlaps"
 
 
@@ -632,9 +640,41 @@ def test_overlap_candidates_same_object_keeps_lower_triangle():
     ia, ib = _overlap_candidates(c, r, c, r, same_object=True)
     assert np.all(ia < ib)
     pairs = set(zip(ia.tolist(), ib.tolist()))
-    ja, jb = _dense_candidates(c, r, c, r, block=128)
-    expect = {(int(i), int(j)) for i, j in zip(ja, jb) if i < j}
+    expect = {(i, j) for i, j in brute_force_overlaps(c, r, c, r) if i < j}
     assert pairs == expect
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e2, 1e3, 1e4])
+def test_overlap_candidates_survive_translation(offset):
+    """A compact layout (spheres large next to the extent) moved far from
+    the origin keeps every overlap the float64 all-pairs check finds."""
+    rng = np.random.default_rng(33)
+    ca = rng.uniform(0, 1, size=(300, 3)) + offset
+    cb = rng.uniform(0, 1, size=(300, 3)) + offset
+    r = np.full(300, 0.1)
+    ia, ib = _overlap_candidates(ca, r, cb, r, same_object=False)
+    expect = brute_force_overlaps(ca, r, cb, r)
+    assert len(expect) > 1000, "the layout must produce many overlaps"
+    assert set(zip(ia.tolist(), ib.tolist())) == expect
+
+
+def test_overlap_candidates_row_blocks_find_the_same_pairs(monkeypatch):
+    """Capping each slab pass at a few pairs splits slabs into many row
+    blocks without changing the result."""
+    monkeypatch.setattr(detect, "_SLAB_BLOCK_PAIRS", 50)
+    rng = np.random.default_rng(34)
+    c = rng.uniform(0, 1, size=(200, 3))
+    r = rng.uniform(0.05, 0.2, size=200)
+    ia, ib = _overlap_candidates(c, r, c, r, same_object=True)
+    expect = {(i, j) for i, j in brute_force_overlaps(c, r, c, r) if i < j}
+    assert set(zip(ia.tolist(), ib.tolist())) == expect
+
+
+def test_overlap_candidates_zero_radii_find_nothing():
+    c = np.zeros((4, 3))
+    ia, ib = _overlap_candidates(c, np.zeros(4), c, np.zeros(4),
+                                 same_object=False)
+    assert ia.size == 0 and ib.size == 0
 
 
 def test_drop_vertex_sharing_filters_exactly_the_sharing_pairs():

@@ -1,23 +1,25 @@
-"""Mesh layer tests: file format, generators, adjacency, dual mesh, curvature.
+"""Mesh layer tests: file format, generators, edge adjacency, curvature.
 
-The curvature checks are anchored to independent references computed inside
-the tests: closed-form angle sums for hand-built planar and corner fans, the
-analytic value K = 1/r^2 for spheres, and a direct per-fan recomputation of
-the angle-deficit formula used as an oracle against the vectorized field.
+The adjacency and curvature checks are anchored to independent references
+computed inside the tests: a brute-force "shares exactly two vertices"
+neighbour search, closed-form angle sums for hand-built planar and corner
+fans, the analytic value K = 1/r^2 for spheres, and a direct per-fan
+recomputation of the angle-deficit formula used as an oracle against the
+vectorized field.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from softsphere.mesh import (DualMesh, MeshError, TriangleMesh,
-                             angle_deficit_curvature, bbox_diagonal,
-                             build_adjacency, build_dual_mesh, cloth_grid,
-                             compute_curvature, icosphere, load_mesh,
-                             plane_floor, save_mesh, triangle_areas,
-                             triangle_curvature, triangle_normals,
-                             validate_mesh)
+from softsphere.mesh import (MeshError, TriangleMesh, bbox_diagonal,
+                             cloth_grid, compute_curvature, icosphere,
+                             load_mesh, plane_floor, save_mesh,
+                             triangle_areas, triangle_neighbors,
+                             triangle_normals, validate_mesh)
 
 
 def fan_curvature_oracle(mesh: TriangleMesh, tri: int) -> float:
@@ -176,33 +178,28 @@ def test_plane_floor_is_a_tessellated_grid():
 
 
 def test_adjacency_single_triangle_has_no_neighbors():
-    mesh = TriangleMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
-    adj = build_adjacency(mesh)
-    assert np.array_equal(adj.tri_neighbors, [[-1, -1, -1]])
-    assert adj.boundary_edges == 3
+    nbr = triangle_neighbors(np.array([[0, 1, 2]]))
+    assert np.array_equal(nbr, [[-1, -1, -1]])
+    assert (nbr < 0).sum() == 3
 
 
 def test_adjacency_shared_edge_is_mutual():
-    mesh = TriangleMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]],
-                        [[0, 1, 2], [2, 1, 3]])
-    adj = build_adjacency(mesh)
-    assert 1 in adj.tri_neighbors[0]
-    assert 0 in adj.tri_neighbors[1]
-    assert adj.boundary_edges == 4
+    # edge 1 of triangle 0 is (1, 2); edge 0 of triangle 1 is (2, 1)
+    nbr = triangle_neighbors(np.array([[0, 1, 2], [2, 1, 3]]))
+    assert np.array_equal(nbr, [[-1, 1, -1], [0, -1, -1]])
+    assert (nbr < 0).sum() == 4
 
 
 def test_adjacency_closed_icosphere_every_triangle_has_three_neighbors():
     mesh = icosphere(1)
-    adj = build_adjacency(mesh)
-    assert np.all(adj.tri_neighbors >= 0)
-    assert adj.boundary_edges == 0
-    # interior vertex fans are closed cycles covering all incident triangles
-    counts = np.zeros(mesh.num_vertices, dtype=int)
-    for tri in mesh.triangles:
-        counts[tri] += 1
-    for v, fan in enumerate(adj.vertex_fans):
-        assert len(fan) == counts[v]
-        assert len(set(fan.tolist())) == len(fan)
+    nbr = triangle_neighbors(mesh.triangles)
+    assert np.all(nbr >= 0)
+    assert (nbr < 0).sum() == 0
+    # three distinct neighbours, each of which points back
+    for t, row in enumerate(nbr):
+        assert len(set(row.tolist())) == 3
+        for n in row:
+            assert t in nbr[n]
 
 
 def test_adjacency_non_manifold_edge_is_named():
@@ -210,49 +207,56 @@ def test_adjacency_non_manifold_edge_is_named():
         [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, -1, 0]],
         [[0, 1, 2], [1, 0, 3], [0, 1, 4]])
     with pytest.raises(MeshError, match=r"non-manifold edge \(0, 1\)"):
-        build_adjacency(mesh)
-    with pytest.raises(MeshError, match=r"non-manifold edge \(0, 1\)"):
+        triangle_neighbors(mesh.triangles)
+    with pytest.raises(MeshError, match=r"non-manifold edge \(0, 1\) "
+                                        r"shared by 3 triangles"):
         validate_mesh(mesh)
 
 
-# ---------------------------------------------------------------------------
-# dual mesh
-# ---------------------------------------------------------------------------
+def brute_force_neighbors(triangles: np.ndarray) -> list:
+    """Per triangle, the set of triangles sharing exactly two vertices."""
+    incidence = np.zeros((len(triangles), int(triangles.max()) + 1), dtype=int)
+    for t, tri in enumerate(triangles):
+        incidence[t, tri] = 1
+    shared = incidence @ incidence.T
+    np.fill_diagonal(shared, 0)
+    return [set(np.nonzero(row == 2)[0].tolist()) for row in shared]
 
 
-def test_dual_two_triangles_one_edge():
-    mesh = TriangleMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]],
-                        [[0, 1, 2], [2, 1, 3]])
-    dual = build_dual_mesh(mesh)
-    assert len(dual.dual_vertices) == 2
-    assert len(dual.dual_edges) == 1
-    assert np.allclose(dual.dual_vertices,
-                       mesh.vertices[mesh.triangles].mean(axis=1))
+def _thinned_shuffled(name: str, seed: int, drop: float) -> TriangleMesh:
+    base = icosphere(2) if name == "icosphere" else cloth_grid(6, 0.1)
+    rng = np.random.default_rng(seed)
+    keep = rng.permutation(base.num_triangles)
+    keep = keep[:max(1, int(round((1.0 - drop) * len(keep))))]
+    return TriangleMesh(base.vertices, base.triangles[keep])
 
 
-def test_dual_tetrahedron_counts():
-    verts = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0],
-                      [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
-    tris = np.array([[0, 1, 2], [0, 3, 1], [0, 2, 3], [1, 3, 2]])
-    mesh = TriangleMesh(verts, tris)
-    dual = build_dual_mesh(mesh)
-    assert len(dual.dual_vertices) == 4
-    assert len(dual.dual_edges) == 6  # all 6 primal edges interior
-
-
-def test_dual_icosphere_sub1_counts():
-    dual = build_dual_mesh(icosphere(1))
-    assert len(dual.dual_vertices) == 80
-    assert len(dual.dual_edges) == 120  # 3 * 80 / 2, all interior
-
-
-def test_dual_open_patch_counts_interior_edges_only():
-    mesh = cloth_grid(4, 1.0)
-    dual = build_dual_mesh(mesh)
-    adj = build_adjacency(mesh)
-    all_edges = 3 * mesh.num_triangles
-    interior = (all_edges - adj.boundary_edges) // 2
-    assert len(dual.dual_edges) == interior
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["icosphere", "cloth"]),
+       st.integers(0, 2 ** 32 - 1), st.floats(0.0, 0.5))
+def test_neighbor_table_and_curvature_match_brute_force(name, seed, drop):
+    mesh = _thinned_shuffled(name, seed, drop)
+    tris = mesh.triangles
+    nbr = triangle_neighbors(tris)
+    expect = brute_force_neighbors(tris)
+    for t in range(len(tris)):
+        row = nbr[t]
+        assert set(row[row >= 0].tolist()) == expect[t]
+        assert int((row < 0).sum()) == 3 - len(expect[t])
+        for e in range(3):
+            n = int(row[e])
+            if n < 0:
+                continue
+            # the neighbour holds edge e's two corners and points back
+            edge = {int(tris[t, e]), int(tris[t, (e + 1) % 3])}
+            assert edge <= set(tris[n].tolist())
+            assert t in nbr[n]
+    K = compute_curvature(mesh)
+    tol = 1e-9 / bbox_diagonal(mesh.vertices) ** 2
+    rng = np.random.default_rng(seed)
+    for t in rng.choice(len(tris), size=min(24, len(tris)), replace=False):
+        oracle = fan_curvature_oracle(mesh, int(t))
+        assert K[t] == pytest.approx(oracle, rel=1e-9, abs=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +273,7 @@ def test_planar_fan_angle_sum_is_2pi_so_curvature_vanishes():
     ])
     tris = np.array([[0, 1, 2], [1, 0, 3], [2, 1, 4], [0, 2, 5]])
     mesh = TriangleMesh(verts, tris)
-    dual = build_dual_mesh(mesh)
-    k = angle_deficit_curvature(dual, 0)
+    k = compute_curvature(mesh)[0]
     diag = bbox_diagonal(mesh.vertices)
     assert abs(k) < 1e-9 / diag ** 2
     assert k == pytest.approx(fan_curvature_oracle(mesh, 0), abs=1e-15)
@@ -284,52 +287,47 @@ def test_planar_hex_fan_reports_zero():
     verts = np.array([(0.0, 0.0, 0.0)] + ring)
     tris = np.array([[0, 1 + i, 1 + (i + 1) % 6] for i in range(6)])
     mesh = TriangleMesh(verts, tris)
-    field = compute_curvature(mesh)
-    assert np.all(field.per_dual_vertex == 0.0)
+    assert np.all(compute_curvature(mesh) == 0.0)
 
 
 def test_cube_corner_fan_matches_angle_deficit():
-    # hand-built dual fan with orthogonal spokes: angle sum 3*pi/2, so
-    # K = (2*pi - 3*pi/2) / (A/3) = (pi/2) / a with a = A/3
-    a = 0.37
-    dual = DualMesh(
-        dual_vertices=np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
-                                [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
-        dual_edges=np.array([[0, 1], [0, 2], [0, 3]]),
-        dual_fans=[np.array([1, 2, 3]), np.array([0]), np.array([0]),
-                   np.array([0])],
-        face_areas=np.array([0.5, a, a, a]))
-    k = angle_deficit_curvature(dual, 0)
-    assert k == pytest.approx((math.pi / 2) / a, rel=1e-12)
+    # center triangle with its centroid at the origin and three
+    # edge-neighbours whose centroids sit on the coordinate axes: the dual
+    # spokes are orthogonal, the angle sum is 3*pi/2, so
+    # K = (2*pi - 3*pi/2) / (A/3) with A the neighbours' total area
+    center = np.array([[0.3, -0.2, 0.1], [-0.1, 0.35, -0.2],
+                       [-0.2, -0.15, 0.1]])
+    targets = np.eye(3)  # centroid of the neighbour across edge e
+    far = [3.0 * targets[e] - center[e] - center[(e + 1) % 3]
+           for e in range(3)]
+    verts = np.vstack([center, far])
+    tris = np.array([[0, 1, 2], [1, 0, 3], [2, 1, 4], [0, 2, 5]])
+    mesh = TriangleMesh(verts, tris)
+    area = float(triangle_areas(verts, tris)[1:].sum())
+    k = compute_curvature(mesh)[0]
+    assert k == pytest.approx((math.pi / 2) / (area / 3.0), rel=1e-12)
 
 
 def test_boundary_dual_vertices_report_zero():
     mesh = cloth_grid(3, 1.0)
-    dual = build_dual_mesh(mesh)
-    open_fans = [t for t in range(mesh.num_triangles)
-                 if len(dual.dual_fans[t]) < 3]
-    assert open_fans, "a 3x3 cloth patch must have boundary triangles"
-    for t in open_fans:
-        assert angle_deficit_curvature(dual, t) == 0.0
+    open_fans = (triangle_neighbors(mesh.triangles) < 0).any(axis=1)
+    assert open_fans.any(), "a 3x3 cloth patch must have boundary triangles"
+    assert np.all(compute_curvature(mesh)[open_fans] == 0.0)
 
 
 def test_degenerate_fan_raises():
-    # two dual vertices at the same point make a zero-length spoke
-    dual = DualMesh(
-        dual_vertices=np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0],
-                                [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
-        dual_edges=np.array([[0, 1], [0, 2], [0, 3]]),
-        dual_fans=[np.array([1, 2, 3]), np.array([0]), np.array([0]),
-                   np.array([0])],
-        face_areas=np.full(4, 0.25))
+    # a "pillow": two triangles glued along all three edges share a centroid,
+    # so each one's dual fan has zero-length spokes
+    mesh = TriangleMesh([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                        [[0, 1, 2], [1, 0, 2]])
     with pytest.raises(MeshError, match="degenerate dual fan"):
-        angle_deficit_curvature(dual, 0)
+        compute_curvature(mesh)
 
 
 def test_unit_icosphere_sub3_median_curvature_near_one():
     mesh = icosphere(3, radius=1.0)
     field = compute_curvature(mesh)
-    median = float(np.median(field.per_dual_vertex))
+    median = float(np.median(field))
     assert 0.85 <= median <= 1.15  # analytic K = 1/r^2 = 1
 
 
@@ -337,7 +335,7 @@ def test_unit_icosphere_curvature_fraction_within_15_percent():
     for sub in (3, 4):
         mesh = icosphere(sub, radius=1.0)
         field = compute_curvature(mesh)
-        frac = float(np.mean(np.abs(field.per_dual_vertex - 1.0) <= 0.15))
+        frac = float(np.mean(np.abs(field - 1.0) <= 0.15))
         assert frac >= 0.9, f"subdivision {sub}: only {frac:.3f} within 15%"
 
 
@@ -347,18 +345,18 @@ def test_curvature_field_matches_scalar_oracle_on_icosphere():
     rng = np.random.default_rng(3)
     for tri in rng.choice(mesh.num_triangles, size=24, replace=False):
         oracle = fan_curvature_oracle(mesh, int(tri))
-        assert field.per_dual_vertex[tri] == pytest.approx(oracle, rel=1e-9)
+        assert field[tri] == pytest.approx(oracle, rel=1e-9)
 
 
 def test_triangle_curvature_reads_the_dual_vertex():
     mesh = icosphere(3, radius=1.0)
     field = compute_curvature(mesh)
-    assert triangle_curvature(field, 7) == field.per_dual_vertex[7]
-    assert abs(triangle_curvature(field, 7) - 1.0) <= 0.15
+    assert field.shape == (mesh.num_triangles,)
+    assert abs(field[7] - 1.0) <= 0.15
     grid = cloth_grid(10, 0.1)
     flat = compute_curvature(grid)
     tol = 1e-9 / bbox_diagonal(grid.vertices) ** 2
-    assert np.all(np.abs(flat.per_triangle) < tol)
+    assert np.all(np.abs(flat) < tol)
 
 
 def test_planarity_on_an_irregular_flat_patch():
@@ -374,15 +372,15 @@ def test_planarity_on_an_irregular_flat_patch():
     warped = TriangleMesh(verts, mesh.triangles)
     field = compute_curvature(warped)
     bound = 1e-9 / bbox_diagonal(verts) ** 2
-    assert np.all(np.abs(field.per_dual_vertex) < bound)
+    assert np.all(np.abs(field) < bound)
 
 
 def test_curvature_scale_covariance():
     mesh = icosphere(2, radius=1.0)
-    base = compute_curvature(mesh).per_dual_vertex
+    base = compute_curvature(mesh)
     for s in (0.25, 3.7):
         scaled = TriangleMesh(mesh.vertices * s, mesh.triangles)
-        ks = compute_curvature(scaled).per_dual_vertex
+        ks = compute_curvature(scaled)
         assert np.allclose(ks * s * s, base, rtol=1e-6)
 
 
@@ -390,7 +388,6 @@ def test_tetrahedron_curvature_equal_at_every_dual_vertex():
     verts = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0],
                       [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
     tris = np.array([[0, 1, 2], [0, 3, 1], [0, 2, 3], [1, 3, 2]])
-    field = compute_curvature(TriangleMesh(verts, tris))
-    k = field.per_dual_vertex
+    k = compute_curvature(TriangleMesh(verts, tris))
     assert np.allclose(k, k[0], rtol=1e-12)
     assert k[0] > 0  # convex corner fans keep a positive deficit

@@ -290,7 +290,7 @@ def test_build_sphere_set_matches_scalar_path():
     rng = np.random.default_rng(5)
     for tri in rng.choice(mesh.num_triangles, size=20, replace=False):
         tri = int(tri)
-        scalar = build_circumsphere(mesh, tri, float(curvature.per_triangle[tri]),
+        scalar = build_circumsphere(mesh, tri, float(curvature[tri]),
                                     params)
         assert np.allclose(sset.centers[tri], scalar.center, atol=1e-12)
         assert sset.radii[tri] == pytest.approx(scalar.radius, rel=1e-12)
@@ -373,7 +373,6 @@ def test_update_spheres_static_mesh_rebuilds_nothing():
     curvature = compute_curvature(mesh)
     n = update_spheres(sset, mesh, params, curvature, frame=1)
     assert n == 0
-    assert sset.rebuild_count_this_frame == 0
     assert np.all(sset.build_frames == 0)
 
 
@@ -399,7 +398,6 @@ def test_update_threshold_gates_on_strict_excess():
     eager = SphereParams(k_threshold=1.0, update_threshold_d=0.0)
     n = update_spheres(sset, moved, eager, curvature, frame=2)
     assert n == len(sset)
-    assert sset.rebuild_count_this_frame == len(sset)
     assert np.all(sset.build_frames == 2)
 
 
