@@ -16,7 +16,8 @@ Baselines for method comparison:
   the exact test; there is no sphere prefilter).
 
 Sphere overlaps are found by a float64 sorted-slab scan.  Only the bulk
-plane-side filter of ``polygon-exact`` works in float32, with a conservative
+plane-side filter of ``polygon-exact`` works in float32, on coordinates
+relative to the pair's common bounding-box centre and with a conservative
 margin, before it confirms survivors exactly in float64.
 
 Every detector returns its contacts as one record array of
@@ -103,6 +104,10 @@ _EMPTY_PAIRS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 # row blocks of a slab pass hold at most this many sphere pairs, which caps
 # memory when most spheres share a few slabs
 _SLAB_BLOCK_PAIRS = 1 << 20
+# plane_side_survivors: absolute slack (metres) on each float32 plane-side
+# test, and the number of side-a rows compared against side b at once.
+_PLANE_SIDE_MARGIN = 1e-4
+_PLANE_SIDE_BLOCK = 2048
 
 
 def _slab_candidates(centers_a: np.ndarray, radii_a: np.ndarray,
@@ -522,15 +527,16 @@ def _exact_tri_tri_bulk(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
-def plane_side_survivors(pts_a: np.ndarray, pts_b: np.ndarray,
-                         block: int = 2048, margin: float = 1e-4
+def plane_side_survivors(pts_a: np.ndarray, pts_b: np.ndarray
                          ) -> Tuple[np.ndarray, np.ndarray]:
     """Stage one of the exact test, in bulk: mutual plane-side rejection.
 
     Tests every triangle pair between the two corner sets and returns the
     pairs where neither triangle lies strictly on one side of the other's
-    plane.  float32 with a conservative margin: rejection never discards a
-    truly intersecting pair.
+    plane.  float32 with a conservative margin, on corners taken relative
+    to the centre of both sets' bounding box so that the float32 error
+    does not grow with the scene's distance from the origin: rejection
+    never discards a truly intersecting pair.
     """
     na = len(pts_a)
     nb = len(pts_b)
@@ -540,12 +546,17 @@ def plane_side_survivors(pts_a: np.ndarray, pts_b: np.ndarray,
     nrm_a /= np.linalg.norm(nrm_a, axis=1, keepdims=True)
     nrm_b = np.cross(pts_b[:, 1] - pts_b[:, 0], pts_b[:, 2] - pts_b[:, 0])
     nrm_b /= np.linalg.norm(nrm_b, axis=1, keepdims=True)
-    hi_a = (np.einsum("ij,ij->i", nrm_a, pts_a[:, 0]) + margin
+    lo = np.minimum(pts_a.min(axis=(0, 1)), pts_b.min(axis=(0, 1)))
+    hi = np.maximum(pts_a.max(axis=(0, 1)), pts_b.max(axis=(0, 1)))
+    origin = 0.5 * (lo + hi)
+    pts_a = pts_a - origin
+    pts_b = pts_b - origin
+    hi_a = (np.einsum("ij,ij->i", nrm_a, pts_a[:, 0]) + _PLANE_SIDE_MARGIN
             ).astype(np.float32)[:, None]
-    lo_a = hi_a - np.float32(2.0 * margin)
-    hi_b = (np.einsum("ij,ij->i", nrm_b, pts_b[:, 0]) + margin
+    lo_a = hi_a - np.float32(2.0 * _PLANE_SIDE_MARGIN)
+    hi_b = (np.einsum("ij,ij->i", nrm_b, pts_b[:, 0]) + _PLANE_SIDE_MARGIN
             ).astype(np.float32)[None, :]
-    lo_b = hi_b - np.float32(2.0 * margin)
+    lo_b = hi_b - np.float32(2.0 * _PLANE_SIDE_MARGIN)
     na32 = nrm_a.astype(np.float32)
     nb32_t = np.ascontiguousarray(nrm_b.astype(np.float32).T)  # (3, nb)
     # per-corner coordinate matrices, one GEMM per corner per side
@@ -555,8 +566,8 @@ def plane_side_survivors(pts_a: np.ndarray, pts_b: np.ndarray,
                  for c in range(3)]                            # each (na, 3)
     out_i: List[np.ndarray] = []
     out_j: List[np.ndarray] = []
-    for start in range(0, na, block):
-        stop = min(start + block, na)
+    for start in range(0, na, _PLANE_SIDE_BLOCK):
+        stop = min(start + _PLANE_SIDE_BLOCK, na)
         # corners of B against planes of the A-block: all three above or
         # all three below reject the pair
         above = below = None

@@ -173,8 +173,7 @@ class _CircumsphereMethod:
             curv = compute_curvature(obj.rest_mesh)
             self.params.append(params)
             self.curvature.append(curv)
-            self.sets.append(build_sphere_set(obj.rest_mesh, curv, params,
-                                              frame=0))
+            self.sets.append(build_sphere_set(obj.rest_mesh, curv, params))
         self.two_sided = config.two_sided
 
     def detect(self, frame: int, meshes: Sequence[TriangleMesh],
@@ -183,7 +182,7 @@ class _CircumsphereMethod:
         rebuilds = 0
         for i, mesh in enumerate(meshes):
             rebuilds += update_spheres(self.sets[i], mesh, self.params[i],
-                                       self.curvature[i], frame)
+                                       self.curvature[i])
         inputs = [NarrowInput(self.sets[i],
                               triangle_normals(mesh.vertices, mesh.triangles),
                               mesh.triangles)

@@ -9,7 +9,9 @@ and finally recovers velocities from the position change.
 Constraints:
 
 * distance constraints keep mesh edges at rest length (cloth structure,
-  deformable-body stiffness);
+  deformable-body stiffness).  They arrive as one ``DISTANCE_DTYPE`` array,
+  a row per unique edge, built once at scene assembly; its row order is the
+  Gauss-Seidel order, and ``SolverConfig.stiffness`` scales every row;
 * collision constraints keep two contact spheres separated; sphere centers
   are treated as rigid offsets from their triangle centroids, so pushing the
   six involved particles moves the spheres apart.  They arrive as one
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List
 
 import numpy as np
 
@@ -61,18 +63,10 @@ class ParticleState:
                    inv_mass=np.asarray(inv_mass, dtype=np.float64))
 
 
-@dataclass
-class DistanceConstraint:
-    i: int
-    j: int
-    rest_length: float
-    stiffness: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.i == self.j:
-            raise ValueError("distance constraint needs two distinct particles")
-        if self.rest_length <= 0:
-            raise ValueError("rest_length must be > 0")
+# One distance constraint per row: the two particles of a mesh edge and the
+# edge's rest length.
+DISTANCE_DTYPE = np.dtype([("i", np.int64), ("j", np.int64),
+                           ("rest_length", np.float64)])
 
 
 # One collision constraint per row: the particles of triangle a then of
@@ -110,38 +104,20 @@ def predict(state: ParticleState, config: SolverConfig) -> None:
                               + (dt * dt) * config.gravity)
 
 
-def project_distance(con: DistanceConstraint, state: ParticleState
-                     ) -> Tuple[np.ndarray, np.ndarray]:
-    """Corrections (dp_i, dp_j) for one distance constraint on predicted."""
-    pi = state.predicted[con.i]
-    pj = state.predicted[con.j]
-    wi = float(state.inv_mass[con.i])
-    wj = float(state.inv_mass[con.j])
-    zero = np.zeros(3)
-    if wi + wj == 0:
-        return zero, zero
-    diff = pi - pj
-    dist = float(np.linalg.norm(diff))
-    if dist < 1e-12:
-        return zero, zero
-    c = dist - con.rest_length
-    d = diff / dist
-    dp_i = -con.stiffness * (wi / (wi + wj)) * c * d
-    dp_j = +con.stiffness * (wj / (wi + wj)) * c * d
-    return dp_i, dp_j
-
-
 def solve_step(state: ParticleState,
-               distance_constraints: Sequence[DistanceConstraint],
+               distance_constraints: np.ndarray,
                collisions: np.ndarray,
                config: SolverConfig, frame: int = 0) -> List[float]:
     """Gauss-Seidel sweeps, then commit positions and update velocities.
 
-    ``collisions`` holds one ``COLLISION_DTYPE`` row per contact.  Each
-    collision removes its violation C = |c_b - c_a| - (r_a + r_b) by moving
-    the two sides apart along the current center line, split by
-    inverse-mass sums and shared within each side in proportion to inverse
-    mass (pinned particles never move).
+    ``distance_constraints`` holds one ``DISTANCE_DTYPE`` row per edge; each
+    projection closes ``config.stiffness`` of the edge's violation
+    C = |p_i - p_j| - rest_length, split by inverse mass.  ``collisions``
+    holds one ``COLLISION_DTYPE`` row per contact.  Each collision removes
+    its violation C = |c_b - c_a| - (r_a + r_b) by moving the two sides
+    apart along the current center line, split by inverse-mass sums and
+    shared within each side in proportion to inverse mass (pinned particles
+    never move).  Rows are projected in array order.
 
     Returns the convergence trace: max absolute constraint violation seen in
     each sweep.  Raises SolverInstabilityError when positions go non-finite.
@@ -153,7 +129,11 @@ def solve_step(state: ParticleState,
     py = state.predicted[:, 1].tolist()
     pz = state.predicted[:, 2].tolist()
     w = state.inv_mass.tolist()
-    dcons = [(c.i, c.j, c.rest_length, c.stiffness) for c in distance_constraints]
+    edges = np.asarray(distance_constraints, dtype=DISTANCE_DTYPE)
+    ei = edges["i"].tolist()
+    ej = edges["j"].tolist()
+    rest_lengths = edges["rest_length"].tolist()
+    k = config.stiffness
     ccons = list(zip(
         collisions["particles"].tolist(),
         collisions["offsets"].reshape(-1, 6).tolist(),
@@ -163,7 +143,7 @@ def solve_step(state: ParticleState,
     trace: List[float] = []
     for _ in range(config.iterations):
         worst = 0.0
-        for (i, j, rest, k) in dcons:
+        for i, j, rest in zip(ei, ej, rest_lengths):
             dx = px[i] - px[j]
             dy = py[i] - py[j]
             dz = pz[i] - pz[j]

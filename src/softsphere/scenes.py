@@ -7,7 +7,9 @@ from the built-in constructors at the bottom of this module.
 
 ``generate_scene`` turns a SceneConfig into a World: one global particle
 state covering all objects, per-object index bookkeeping, and the distance
-constraints that give deformable meshes their structure.
+constraints that give deformable meshes their structure.  Those are one
+``DISTANCE_DTYPE`` array, a row per unique edge, built once here; the
+solver projects its rows in order.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from .mesh import (MeshError, TriangleMesh, cloth_grid, icosphere, load_mesh,
                    plane_floor, triangle_neighbors, triangle_normals,
                    validate_mesh)
-from .pbd import DistanceConstraint, ParticleState
+from .pbd import DISTANCE_DTYPE, ParticleState
 
 
 class SceneError(Exception):
@@ -170,7 +172,7 @@ class World:
     config: SceneConfig
     state: ParticleState
     objects: List[SceneObject]
-    distance_constraints: List[DistanceConstraint]
+    distance_constraints: np.ndarray  # DISTANCE_DTYPE rows
 
     def positions_of(self, obj: SceneObject) -> np.ndarray:
         return self.state.positions[obj.vertex_slice()]
@@ -301,26 +303,27 @@ def generate_scene(config: SceneConfig) -> World:
     state = ParticleState(positions=positions, predicted=positions.copy(),
                           velocities=np.concatenate(vel_chunks),
                           inv_mass=np.concatenate(w_chunks))
-    constraints = _distance_constraints(objects, state, config.stiffness)
+    constraints = _distance_constraints(objects, state.positions)
     return World(config=config, state=state, objects=objects,
                  distance_constraints=constraints)
 
 
-def _distance_constraints(objects: Sequence[SceneObject], state: ParticleState,
-                          stiffness: float) -> List[DistanceConstraint]:
-    """One constraint per unique mesh edge of every deformable object."""
-    out: List[DistanceConstraint] = []
+def _distance_constraints(objects: Sequence[SceneObject],
+                          positions: np.ndarray) -> np.ndarray:
+    """One ``DISTANCE_DTYPE`` row per unique mesh edge of every deformable
+    object: objects in scene order, each object's edges in sorted order."""
+    per_object = [np.empty((0, 2), dtype=np.int64)]
     for obj in objects:
-        if obj.static:
-            continue
-        t = obj.global_triangles()
-        edges = np.concatenate([t[:, (0, 1)], t[:, (1, 2)], t[:, (2, 0)]])
-        edges = np.unique(np.sort(edges, axis=1), axis=0)
-        rest = np.linalg.norm(state.positions[edges[:, 0]]
-                              - state.positions[edges[:, 1]], axis=1)
-        for (i, j), length in zip(edges, rest):
-            out.append(DistanceConstraint(int(i), int(j), float(length),
-                                          stiffness))
+        if not obj.static:
+            t = obj.global_triangles()
+            edges = np.concatenate([t[:, (0, 1)], t[:, (1, 2)], t[:, (2, 0)]])
+            per_object.append(np.unique(np.sort(edges, axis=1), axis=0))
+    edges = np.concatenate(per_object)
+    out = np.empty(len(edges), dtype=DISTANCE_DTYPE)
+    out["i"] = edges[:, 0]
+    out["j"] = edges[:, 1]
+    out["rest_length"] = np.linalg.norm(positions[edges[:, 0]]
+                                        - positions[edges[:, 1]], axis=1)
     return out
 
 

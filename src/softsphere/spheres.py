@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -73,35 +73,24 @@ class Circumsphere:
     triangle: int
     safety_angle: float
     ref_vertices: np.ndarray  # (3, 3) vertex positions at build time
-    ref_radius: float
-    build_frame: int
 
 
 class SphereSet:
-    """Per-triangle circumspheres for one mesh, stored as flat arrays."""
+    """Per-triangle circumspheres for one mesh, stored as flat arrays.
+
+    ``ref_vertices`` holds each triangle's corners as they were when its
+    sphere was last built; the lazy-update gate measures against them.
+    """
 
     def __init__(self, centers: np.ndarray, radii: np.ndarray,
-                 safety_angles: np.ndarray, ref_vertices: np.ndarray,
-                 ref_radii: np.ndarray, build_frames: np.ndarray) -> None:
+                 safety_angles: np.ndarray, ref_vertices: np.ndarray) -> None:
         self.centers = centers
         self.radii = radii
         self.safety_angles = safety_angles
         self.ref_vertices = ref_vertices
-        self.ref_radii = ref_radii
-        self.build_frames = build_frames
 
     def __len__(self) -> int:
         return len(self.radii)
-
-    def sphere(self, tri: int) -> Circumsphere:
-        """Materialize one triangle's sphere as a scalar view."""
-        return Circumsphere(center=self.centers[tri].copy(),
-                            radius=float(self.radii[tri]),
-                            triangle=tri,
-                            safety_angle=float(self.safety_angles[tri]),
-                            ref_vertices=self.ref_vertices[tri].copy(),
-                            ref_radius=float(self.ref_radii[tri]),
-                            build_frame=int(self.build_frames[tri]))
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +141,8 @@ def sphere_radius(circumradius: float, K: float, params: SphereParams) -> float:
     return f * r_flat + (1.0 - f) * r_curv
 
 
-def sphere_through_triangle(a, b, c, radius: float, triangle: int = 0,
-                            frame: int = 0) -> Circumsphere:
+def sphere_through_triangle(a, b, c, radius: float,
+                            triangle: int = 0) -> Circumsphere:
     """Build the sphere of a given radius through the triangle's vertices.
 
     The center is placed at circumcenter - phi * n (n = outward unit normal,
@@ -174,26 +163,17 @@ def sphere_through_triangle(a, b, c, radius: float, triangle: int = 0,
                         radius=r,
                         triangle=triangle,
                         safety_angle=math.atan2(r_c, phi),
-                        ref_vertices=np.stack([a, b, c]),
-                        ref_radius=r,
-                        build_frame=frame)
+                        ref_vertices=np.stack([a, b, c]))
 
 
 def build_circumsphere(mesh: TriangleMesh, tri: int, K: float,
-                       params: SphereParams, frame: int = 0) -> Circumsphere:
+                       params: SphereParams) -> Circumsphere:
     """Sphere for one mesh triangle under the curvature radius law."""
     i, j, k = mesh.triangles[tri]
     a, b, c = mesh.vertices[i], mesh.vertices[j], mesh.vertices[k]
     _, r_c = circumcenter(a, b, c)
     r = sphere_radius(r_c, K, params)
-    return sphere_through_triangle(a, b, c, r, triangle=tri, frame=frame)
-
-
-def shape_change(sphere: Circumsphere, mesh: TriangleMesh) -> float:
-    """Max vertex displacement since build, as a fraction of the built radius."""
-    now = mesh.vertices[mesh.triangles[sphere.triangle]]
-    disp = np.linalg.norm(now - sphere.ref_vertices, axis=1)
-    return float(disp.max() / sphere.ref_radius)
+    return sphere_through_triangle(a, b, c, r, triangle=tri)
 
 
 # ---------------------------------------------------------------------------
@@ -234,38 +214,46 @@ def _radius_law_bulk(r_c: np.ndarray, K: np.ndarray, params: SphereParams) -> np
     return f * r_flat + (1.0 - f) * r_curv
 
 
+def _place_spheres(p: np.ndarray, curvature: np.ndarray,
+                   params: SphereParams):
+    """Centers, radii and safety angles for (m, 3, 3) corner positions.
+
+    Circumcenter, then the radius law (clamped up to the circumradius), then
+    the inward offset phi, the center and the safety angle.
+    """
+    cc, r_c, n = _circumcenters_bulk(p)
+    r = np.maximum(_radius_law_bulk(r_c, curvature, params), r_c)
+    phi = np.sqrt(np.maximum(r * r - r_c * r_c, 0.0))
+    return cc - phi[:, None] * n, r, np.arctan2(r_c, phi)
+
+
 def build_sphere_set(mesh: TriangleMesh, curvature: np.ndarray,
-                     params: SphereParams, frame: int = 0) -> SphereSet:
+                     params: SphereParams) -> SphereSet:
     """Build every triangle's sphere in one vectorized pass.
 
     ``curvature`` is the per-triangle array from ``compute_curvature``.
     """
     p = mesh.triangle_points()
-    cc, r_c, n = _circumcenters_bulk(p)
-    r = _radius_law_bulk(r_c, curvature, params)
-    r = np.maximum(r, r_c)
-    phi = np.sqrt(np.maximum(r * r - r_c * r_c, 0.0))
-    centers = cc - phi[:, None] * n
-    safety = np.arctan2(r_c, phi)
-    return SphereSet(centers=centers, radii=r, safety_angles=safety,
-                     ref_vertices=p.copy(), ref_radii=r.copy(),
-                     build_frames=np.full(len(r), frame, dtype=np.int64))
+    centers, radii, safety = _place_spheres(p, curvature, params)
+    return SphereSet(centers=centers, radii=radii, safety_angles=safety,
+                     ref_vertices=p.copy())
 
 
 def shape_changes_bulk(sset: SphereSet, positions: np.ndarray,
                        triangles: np.ndarray) -> np.ndarray:
-    """shape_change for every triangle at once."""
+    """Each triangle's max vertex displacement since its sphere was built,
+    as a fraction of the built radius."""
     now = positions[triangles]
     disp = np.linalg.norm(now - sset.ref_vertices, axis=2)
-    return disp.max(axis=1) / sset.ref_radii
+    return disp.max(axis=1) / sset.radii
 
 
 def update_spheres(sset: SphereSet, mesh: TriangleMesh, params: SphereParams,
-                   curvature: np.ndarray, frame: int) -> int:
+                   curvature: np.ndarray) -> int:
     """Rebuild exactly the spheres whose shape change exceeds the threshold.
 
-    Returns the number rebuilt.  Untouched spheres keep their snapshots and
-    build frames.  Curvature values are the ones frozen at initialization.
+    Returns the number rebuilt.  Untouched spheres keep their snapshots.
+    Curvature values are the ones frozen at initialization.
     """
     changes = shape_changes_bulk(sset, mesh.vertices, mesh.triangles)
     mask = changes > params.update_threshold_d
@@ -274,14 +262,9 @@ def update_spheres(sset: SphereSet, mesh: TriangleMesh, params: SphereParams,
         return 0
     idx = np.nonzero(mask)[0]
     p = mesh.vertices[mesh.triangles[idx]]
-    cc, r_c, n = _circumcenters_bulk(p)
-    K = curvature[idx]
-    r = np.maximum(_radius_law_bulk(r_c, K, params), r_c)
-    phi = np.sqrt(np.maximum(r * r - r_c * r_c, 0.0))
-    sset.centers[idx] = cc - phi[:, None] * n
-    sset.radii[idx] = r
-    sset.safety_angles[idx] = np.arctan2(r_c, phi)
+    centers, radii, safety = _place_spheres(p, curvature[idx], params)
+    sset.centers[idx] = centers
+    sset.radii[idx] = radii
+    sset.safety_angles[idx] = safety
     sset.ref_vertices[idx] = p
-    sset.ref_radii[idx] = r
-    sset.build_frames[idx] = frame
     return count

@@ -369,9 +369,7 @@ def sphere_input(centers, radii, normals, safety=math.pi / 2):
     radii = np.broadcast_to(np.asarray(radii, dtype=float), (count,)).copy()
     sset = SphereSet(centers=centers.copy(), radii=radii,
                      safety_angles=np.full(count, float(safety)),
-                     ref_vertices=np.zeros((count, 3, 3)),
-                     ref_radii=radii.copy(),
-                     build_frames=np.zeros(count, dtype=np.int64))
+                     ref_vertices=np.zeros((count, 3, 3)))
     normals = np.broadcast_to(np.asarray(normals, dtype=float),
                               (count, 3)).copy()
     return NarrowInput(sphere_set=sset, normals=normals,
@@ -762,6 +760,44 @@ def test_plane_side_survivors_never_drop_true_intersections():
     survivors = set(zip(ia.tolist(), ib.tolist()))
     for k in range(len(built)):
         assert (k, k) in survivors, f"intersecting pair {k} was filtered away"
+
+
+def grazing_pair(rng):
+    """A pair that barely intersects, inside the unit cube: one corner of
+    the second triangle sits 1e-5 to 1e-3 below the first's plane, under an
+    interior point, and the other two stand 0.1 to 0.3 above it."""
+    A = rng.uniform(0.2, 0.8, size=(3, 3))
+    while 0.5 * np.linalg.norm(np.cross(A[1] - A[0], A[2] - A[0])) < 2e-2:
+        A = rng.uniform(0.2, 0.8, size=(3, 3))
+    p = interior_point(A, rng, margin=0.3)
+    n = np.cross(A[1] - A[0], A[2] - A[0])
+    n /= np.linalg.norm(n)
+    lateral = rng.normal(size=(2, 3)) * 0.1
+    lateral -= (lateral @ n)[:, None] * n
+    B = np.stack([p - 10.0 ** rng.uniform(-5, -3) * n,
+                  p + rng.uniform(0.1, 0.3) * n + lateral[0],
+                  p + rng.uniform(0.1, 0.3) * n + lateral[1]])
+    return A, B
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e2, 1e3, 1e4])
+def test_plane_side_survivors_keep_grazing_pairs_far_from_the_origin(offset):
+    """300 pairs built to intersect by a hair (and confirmed by the float64
+    exact test) all survive the float32 plane-side filter when moved far
+    from the origin, and swapping the sides transposes the survivor set."""
+    rng = np.random.default_rng(42)
+    built = [grazing_pair(rng) for _ in range(300)]
+    pts_a = np.stack([p[0] for p in built])
+    pts_b = np.stack([p[1] for p in built])
+    assert np.all(_exact_tri_tri_bulk(pts_a, pts_b)), "every pair intersects"
+    pts_a = pts_a + offset
+    pts_b = pts_b + offset
+    ia, ib = plane_side_survivors(pts_a, pts_b)
+    survivors = set(zip(ia.tolist(), ib.tolist()))
+    dropped = [k for k in range(300) if (k, k) not in survivors]
+    assert not dropped, f"{len(dropped)} grazing pairs filtered away"
+    jb, ja = plane_side_survivors(pts_b, pts_a)
+    assert set(zip(ja.tolist(), jb.tolist())) == survivors
 
 
 def test_plane_filter_plus_exact_equals_exact_everywhere():

@@ -204,13 +204,14 @@ def test_generate_scene_constraints_cover_unique_edges_of_deformables():
     t = world.objects[0].global_triangles()
     edges = np.concatenate([t[:, (0, 1)], t[:, (1, 2)], t[:, (2, 0)]])
     unique = np.unique(np.sort(edges, axis=1), axis=0)
-    assert len(world.distance_constraints) == len(unique), "static adds none"
-    seen = {(c.i, c.j) for c in world.distance_constraints}
+    cons = world.distance_constraints
+    assert len(cons) == len(unique), "static adds none"
+    seen = set(zip(cons["i"].tolist(), cons["j"].tolist()))
     assert len(seen) == len(unique)
-    for c in world.distance_constraints:
-        rest = np.linalg.norm(world.state.positions[c.i]
-                              - world.state.positions[c.j])
-        assert c.rest_length == pytest.approx(rest, rel=1e-12)
+    for i, j, rest_length in cons.tolist():
+        rest = np.linalg.norm(world.state.positions[i]
+                              - world.state.positions[j])
+        assert rest_length == pytest.approx(rest, rel=1e-12)
 
 
 def test_generate_scene_global_indexing_offsets_second_object():

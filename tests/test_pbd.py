@@ -1,10 +1,11 @@
 """Solver tests: prediction, constraint projection, stepping, conservation.
 
 Conservation checks compute total momentum directly from masses and
-velocities; distance-projection checks apply the returned corrections by
-hand, and collision checks run one solver sweep, then re-measure the
-constraint, so the expected values come from the constraint definitions
-rather than from the code under test.
+velocities; distance and collision checks run one solver sweep, then
+re-measure the constraint, so the expected values come from the constraint
+definitions rather than from the code under test.  A whole sweep over an
+edge array is checked against ``oracles.project_distance`` applied row by
+row.
 """
 
 import math
@@ -12,10 +13,10 @@ import math
 import numpy as np
 import pytest
 
-from softsphere.pbd import (COLLISION_DTYPE, DistanceConstraint,
-                            ParticleState, SolverConfig,
-                            SolverInstabilityError, predict,
-                            project_distance, solve_step)
+from oracles import sweep_distances
+from softsphere.pbd import (COLLISION_DTYPE, DISTANCE_DTYPE, ParticleState,
+                            SolverConfig, SolverInstabilityError, predict,
+                            solve_step)
 
 
 def total_momentum(state: ParticleState) -> np.ndarray:
@@ -23,6 +24,11 @@ def total_momentum(state: ParticleState) -> np.ndarray:
     free = state.inv_mass > 0
     masses = 1.0 / state.inv_mass[free]
     return (masses[:, None] * state.velocities[free]).sum(axis=0)
+
+
+def edge_array(rows):
+    """A ``DISTANCE_DTYPE`` array from (i, j, rest_length) tuples."""
+    return np.array(rows, dtype=DISTANCE_DTYPE)
 
 
 def chain(n=10, spacing=0.1, pinned_top=True):
@@ -33,8 +39,7 @@ def chain(n=10, spacing=0.1, pinned_top=True):
     if pinned_top:
         w[0] = 0.0
     state = ParticleState.rest(pos, w)
-    cons = [DistanceConstraint(i, i + 1, rest_length=spacing)
-            for i in range(n - 1)]
+    cons = edge_array([(i, i + 1, spacing) for i in range(n - 1)])
     return state, cons
 
 
@@ -52,10 +57,6 @@ def test_particle_state_validates_shapes_and_masses():
 
 
 def test_constraint_and_config_validation():
-    with pytest.raises(ValueError):
-        DistanceConstraint(2, 2, rest_length=1.0)
-    with pytest.raises(ValueError):
-        DistanceConstraint(0, 1, rest_length=0.0)
     with pytest.raises(ValueError):
         SolverConfig(dt=0.0)
     with pytest.raises(ValueError):
@@ -98,53 +99,82 @@ def test_predict_leaves_pinned_particles_alone():
 # ---------------------------------------------------------------------------
 
 
+def _project_once(state, edges, collisions, stiffness=1.0) -> np.ndarray:
+    """One solver sweep (zero gravity, no damping) over the given rows
+    alone; returns each particle's move."""
+    before = state.positions.copy()
+    solve_step(state, edges, collisions,
+               SolverConfig(dt=0.01, iterations=1, gravity=np.zeros(3),
+                            stiffness=stiffness, damping=1.0))
+    return state.positions - before
+
+
 def test_project_distance_splits_symmetrically():
     """An edge at twice its rest length with equal masses: each endpoint
     moves half the violation toward the other."""
     state = ParticleState.rest(np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]),
                                np.ones(2))
-    con = DistanceConstraint(0, 1, rest_length=1.0, stiffness=1.0)
-    dp_i, dp_j = project_distance(con, state)
-    assert np.allclose(dp_i, [0.5, 0.0, 0.0], atol=1e-15)
-    assert np.allclose(dp_j, [-0.5, 0.0, 0.0], atol=1e-15)
-    state.predicted[0] += dp_i
-    state.predicted[1] += dp_j
-    dist = np.linalg.norm(state.predicted[0] - state.predicted[1])
+    moved = _project_once(state, edge_array([(0, 1, 1.0)]), [])
+    assert np.allclose(moved[0], [0.5, 0.0, 0.0], atol=1e-15)
+    assert np.allclose(moved[1], [-0.5, 0.0, 0.0], atol=1e-15)
+    dist = np.linalg.norm(state.positions[0] - state.positions[1])
     assert dist == pytest.approx(1.0, abs=1e-12)
 
 
 def test_project_distance_pinned_end_pushes_the_free_one_fully():
     state = ParticleState.rest(np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]),
                                np.array([0.0, 1.0]))
-    con = DistanceConstraint(0, 1, rest_length=1.0)
-    dp_i, dp_j = project_distance(con, state)
-    assert np.array_equal(dp_i, np.zeros(3))
-    assert np.allclose(dp_j, [-1.0, 0.0, 0.0], atol=1e-15), "full violation"
+    moved = _project_once(state, edge_array([(0, 1, 1.0)]), [])
+    assert np.array_equal(moved[0], np.zeros(3))
+    assert np.allclose(moved[1], [-1.0, 0.0, 0.0], atol=1e-15), "full violation"
 
 
 def test_project_distance_at_rest_is_zero():
     state = ParticleState.rest(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
                                np.ones(2))
-    dp_i, dp_j = project_distance(DistanceConstraint(0, 1, 1.0), state)
-    assert np.array_equal(dp_i, np.zeros(3))
-    assert np.array_equal(dp_j, np.zeros(3))
+    moved = _project_once(state, edge_array([(0, 1, 1.0)]), [])
+    assert np.array_equal(moved, np.zeros((2, 3)))
 
 
 def test_project_distance_both_pinned_is_zero():
     state = ParticleState.rest(np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]]),
                                np.zeros(2))
-    dp_i, dp_j = project_distance(DistanceConstraint(0, 1, 1.0), state)
-    assert np.array_equal(dp_i, np.zeros(3))
-    assert np.array_equal(dp_j, np.zeros(3))
+    moved = _project_once(state, edge_array([(0, 1, 1.0)]), [])
+    assert np.array_equal(moved, np.zeros((2, 3)))
 
 
 def test_project_distance_scales_with_stiffness():
     state = ParticleState.rest(np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]),
                                np.ones(2))
-    dp_i, dp_j = project_distance(DistanceConstraint(0, 1, 1.0, stiffness=0.5),
-                                  state)
-    assert np.allclose(dp_i, [0.25, 0.0, 0.0], atol=1e-15)
-    assert np.allclose(dp_j, [-0.25, 0.0, 0.0], atol=1e-15)
+    moved = _project_once(state, edge_array([(0, 1, 1.0)]), [],
+                          stiffness=0.5)
+    assert np.allclose(moved[0], [0.25, 0.0, 0.0], atol=1e-15)
+    assert np.allclose(moved[1], [-0.25, 0.0, 0.0], atol=1e-15)
+
+
+@pytest.mark.parametrize("stiffness", [1.0, 0.5])
+def test_solve_step_sweep_equals_sequential_project_distance(stiffness):
+    """One sweep over a random edge array (free, pinned and both-pinned
+    edges, unequal masses, stretched and compressed) equals the scalar
+    reference projection applied to the rows in array order."""
+    rng = np.random.default_rng(31)
+    n = 40
+    pos = rng.normal(size=(n, 3))
+    inv_mass = rng.uniform(0.5, 2.0, size=n)
+    inv_mass[rng.choice(n, size=8, replace=False)] = 0.0
+    i = rng.integers(0, n, size=150)
+    j = (i + rng.integers(1, n, size=150)) % n
+    rest = (np.linalg.norm(pos[i] - pos[j], axis=1)
+            * rng.uniform(0.6, 1.4, size=150))
+    edges = np.zeros(150, dtype=DISTANCE_DTYPE)
+    edges["i"], edges["j"], edges["rest_length"] = i, j, rest
+    assert np.any((inv_mass[i] == 0) & (inv_mass[j] == 0))
+    assert np.any((inv_mass[i] == 0) != (inv_mass[j] == 0))
+    state = ParticleState.rest(pos, inv_mass)
+    expect = sweep_distances(pos, inv_mass, edges, stiffness)
+    moved = _project_once(state, edges, [], stiffness=stiffness)
+    assert np.any(moved != 0.0)
+    assert np.allclose(state.positions, expect, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -180,18 +210,10 @@ def _violation(con, positions) -> float:
     return float(np.linalg.norm(cb - ca)) - float(con["radius_sum"][0])
 
 
-def _project_once(state, con) -> np.ndarray:
-    """One solver sweep over the contact alone; returns each particle's move."""
-    before = state.positions.copy()
-    solve_step(state, [], con, SolverConfig(dt=0.01, iterations=1,
-                                            gravity=np.zeros(3), damping=1.0))
-    return state.positions - before
-
-
 def test_project_collision_separated_is_a_no_op():
     state, con = _two_triangle_contact(gap=1.5)
     assert _violation(con, state.positions) == pytest.approx(0.5)
-    assert not np.any(_project_once(state, con))
+    assert not np.any(_project_once(state, [], con))
 
 
 def test_project_collision_pinned_side_b_moves_a_fully():
@@ -199,7 +221,7 @@ def test_project_collision_pinned_side_b_moves_a_fully():
     0.1 and the violation closes to zero."""
     state, con = _two_triangle_contact(gap=0.9, w_b=0.0)
     assert _violation(con, state.positions) == pytest.approx(-0.1)
-    moved = _project_once(state, con)
+    moved = _project_once(state, [], con)
     assert not np.any(moved[3:]), "only side a moves"
     assert np.allclose(moved[:3], [-0.1, 0.0, 0.0], atol=1e-12)
     assert _violation(con, state.positions) == pytest.approx(0.0, abs=1e-12)
@@ -211,7 +233,7 @@ def test_project_collision_equal_masses_split_the_depth():
     state, con = _two_triangle_contact(gap=0.9)
     before_a = state.positions[[0, 1, 2]].mean(axis=0)
     before_b = state.positions[[3, 4, 5]].mean(axis=0)
-    moved = _project_once(state, con)
+    moved = _project_once(state, [], con)
     assert np.all(np.any(moved != 0.0, axis=1)), "all six particles move"
     after_a = state.positions[[0, 1, 2]].mean(axis=0)
     after_b = state.positions[[3, 4, 5]].mean(axis=0)
@@ -224,7 +246,7 @@ def test_project_collision_equal_masses_split_the_depth():
 
 def test_project_collision_fully_pinned_contact_is_skipped():
     state, con = _two_triangle_contact(gap=0.9, w_a=0.0, w_b=0.0)
-    assert not np.any(_project_once(state, con))
+    assert not np.any(_project_once(state, [], con))
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +287,9 @@ def test_solve_step_trace_contracts_an_overstretched_edge():
     factor, so the per-sweep trace decreases strictly to the final value."""
     state = ParticleState.rest(np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]),
                                np.ones(2))
-    cons = [DistanceConstraint(0, 1, rest_length=1.0, stiffness=0.5)]
+    cons = edge_array([(0, 1, 1.0)])
     config = SolverConfig(dt=0.1, iterations=10, gravity=np.zeros(3),
-                          damping=1.0)
+                          stiffness=0.5, damping=1.0)
     predict(state, config)
     trace = solve_step(state, cons, [], config)
     assert len(trace) == 10
@@ -296,10 +318,10 @@ def test_solve_step_momentum_is_conserved_by_internal_constraints():
     pos = rng.normal(size=(12, 3))
     state = ParticleState.rest(pos, np.ones(12))
     state.velocities[:] = rng.normal(size=(12, 3)) + np.array([1.0, 0.5, 0.0])
-    cons = [DistanceConstraint(i, j,
-                               rest_length=float(np.linalg.norm(pos[i] - pos[j])
-                                                 * rng.uniform(0.7, 1.3)))
-            for i in range(12) for j in range(i + 1, 12) if rng.random() < 0.4]
+    cons = edge_array([(i, j, float(np.linalg.norm(pos[i] - pos[j])
+                                    * rng.uniform(0.7, 1.3)))
+                       for i in range(12) for j in range(i + 1, 12)
+                       if rng.random() < 0.4])
     assert len(cons) > 10
     config = SolverConfig(dt=0.01, iterations=8, gravity=np.zeros(3),
                           damping=1.0)

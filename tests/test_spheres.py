@@ -13,11 +13,11 @@ import pytest
 
 from softsphere.mesh import (MeshError, cloth_grid, compute_curvature,
                              icosphere)
-from softsphere.spheres import (Circumsphere, SphereParams, SphereSet,
-                                build_circumsphere, build_sphere_set,
-                                circumcenter, hermite_factor, shape_change,
-                                shape_changes_bulk, sphere_radius,
-                                sphere_through_triangle, update_spheres)
+from softsphere.spheres import (SphereParams, build_circumsphere,
+                                build_sphere_set, circumcenter,
+                                hermite_factor, shape_changes_bulk,
+                                sphere_radius, sphere_through_triangle,
+                                update_spheres)
 
 
 def assert_circumcenter_properties(center, radius, a, b, c, rel=1e-9):
@@ -309,18 +309,6 @@ def test_build_sphere_set_incidence_everywhere():
     assert np.all(err <= 1e-6 * sset.radii[:, None])
 
 
-def test_sphere_set_materializes_scalar_views():
-    mesh = cloth_grid(4, 0.1)
-    sset = build_sphere_set(mesh, compute_curvature(mesh),
-                            SphereParams(k_threshold=1.0))
-    s = sset.sphere(3)
-    assert isinstance(s, Circumsphere)
-    assert s.triangle == 3
-    assert np.array_equal(s.center, sset.centers[3])
-    assert s.radius == sset.radii[3]
-    assert s.build_frame == 0
-
-
 def test_degenerate_triangle_fails_the_bulk_build():
     mesh = cloth_grid(3, 0.5)
     squashed = mesh.vertices.copy()
@@ -347,7 +335,6 @@ def _flat_set(n=4, spacing=0.2):
 
 def test_shape_change_zero_when_unmoved():
     mesh, _, sset = _flat_set()
-    assert shape_change(sset.sphere(0), mesh) == 0.0
     assert np.all(shape_changes_bulk(sset, mesh.vertices, mesh.triangles) == 0.0)
 
 
@@ -355,25 +342,25 @@ def test_shape_change_is_displacement_over_built_radius():
     """Moving one vertex by the built radius gives exactly 1; by 0.35 of the
     radius gives 0.35."""
     mesh, _, sset = _flat_set()
-    s = sset.sphere(0)
+    r = float(sset.radii[0])
     moved = mesh.vertices.copy()
-    moved[mesh.triangles[0][1]] += np.array([0.0, s.ref_radius, 0.0])
-    from softsphere.mesh import TriangleMesh
-    m2 = TriangleMesh(moved, mesh.triangles)
-    assert shape_change(s, m2) == pytest.approx(1.0, rel=1e-12)
+    moved[mesh.triangles[0][1]] += np.array([0.0, r, 0.0])
+    change = shape_changes_bulk(sset, moved, mesh.triangles)
+    assert change[0] == pytest.approx(1.0, rel=1e-12)
 
     moved2 = mesh.vertices.copy()
-    moved2[mesh.triangles[0][2]] += np.array([0.35 * s.ref_radius, 0.0, 0.0])
-    m3 = TriangleMesh(moved2, mesh.triangles)
-    assert shape_change(s, m3) == pytest.approx(0.35, rel=1e-12)
+    moved2[mesh.triangles[0][2]] += np.array([0.35 * r, 0.0, 0.0])
+    change = shape_changes_bulk(sset, moved2, mesh.triangles)
+    assert change[0] == pytest.approx(0.35, rel=1e-12)
 
 
 def test_update_spheres_static_mesh_rebuilds_nothing():
     mesh, params, sset = _flat_set()
     curvature = compute_curvature(mesh)
-    n = update_spheres(sset, mesh, params, curvature, frame=1)
+    before_refs = sset.ref_vertices.copy()
+    n = update_spheres(sset, mesh, params, curvature)
     assert n == 0
-    assert np.all(sset.build_frames == 0)
+    assert np.array_equal(sset.ref_vertices, before_refs)
 
 
 def test_update_threshold_gates_on_strict_excess():
@@ -383,22 +370,22 @@ def test_update_threshold_gates_on_strict_excess():
     from softsphere.mesh import TriangleMesh
     mesh, params, sset = _flat_set()
     curvature = compute_curvature(mesh)
-    shift = 0.5 * float(sset.ref_radii[0])
+    shift = 0.5 * float(sset.radii[0])
     moved = TriangleMesh(mesh.vertices + np.array([shift, 0.0, 0.0]),
                          mesh.triangles)
 
     lazy = SphereParams(k_threshold=1.0, update_threshold_d=0.7)
-    assert update_spheres(sset, moved, lazy, curvature, frame=1) == 0
+    assert update_spheres(sset, moved, lazy, curvature) == 0
 
     observed = float(shape_changes_bulk(sset, moved.vertices,
                                         moved.triangles).max())
     at_edge = SphereParams(k_threshold=1.0, update_threshold_d=observed)
-    assert update_spheres(sset, moved, at_edge, curvature, frame=1) == 0
+    assert update_spheres(sset, moved, at_edge, curvature) == 0
 
     eager = SphereParams(k_threshold=1.0, update_threshold_d=0.0)
-    n = update_spheres(sset, moved, eager, curvature, frame=2)
+    n = update_spheres(sset, moved, eager, curvature)
     assert n == len(sset)
-    assert np.all(sset.build_frames == 2)
+    assert np.array_equal(sset.ref_vertices, moved.triangle_points())
 
 
 def test_update_rebuild_is_idempotent():
@@ -410,11 +397,13 @@ def test_update_rebuild_is_idempotent():
     moved = TriangleMesh(mesh.vertices + 0.3 * rng.normal(size=mesh.vertices.shape),
                          mesh.triangles)
     eager = SphereParams(k_threshold=1.0, update_threshold_d=0.0)
-    first = update_spheres(sset, moved, eager, curvature, frame=1)
+    first = update_spheres(sset, moved, eager, curvature)
     assert first == len(sset)
-    second = update_spheres(sset, moved, eager, curvature, frame=2)
+    rebuilt_refs = sset.ref_vertices.copy()
+    second = update_spheres(sset, moved, eager, curvature)
     assert second == 0
-    assert np.all(sset.build_frames == 1)
+    assert np.array_equal(sset.ref_vertices, rebuilt_refs)
+    assert np.array_equal(rebuilt_refs, moved.triangle_points())
 
 
 def test_update_touches_only_spheres_past_the_gate():
@@ -430,12 +419,12 @@ def test_update_touches_only_spheres_past_the_gate():
     moved_pos = mesh.vertices.copy()
     moved_pos[0] += np.array([0.0, 5.0, 0.0])  # huge shove, one vertex
     moved = TriangleMesh(moved_pos, mesh.triangles)
-    n = update_spheres(sset, moved, params, curvature, frame=9)
+    n = update_spheres(sset, moved, params, curvature)
 
     touches_v0 = np.any(mesh.triangles == 0, axis=1)
     assert n == int(np.count_nonzero(touches_v0))
-    assert np.all(sset.build_frames[touches_v0] == 9)
-    assert np.all(sset.build_frames[~touches_v0] == 0)
+    assert np.array_equal(sset.ref_vertices[touches_v0],
+                          moved.triangle_points()[touches_v0])
     assert np.array_equal(sset.centers[~touches_v0], before_centers[~touches_v0])
     assert np.array_equal(sset.ref_vertices[~touches_v0], before_refs[~touches_v0])
     # rebuilt spheres are incident to the *new* positions
