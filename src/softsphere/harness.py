@@ -3,8 +3,8 @@
 ``run_scene`` advances a scene frame by frame: predict particle positions,
 detect contacts on the predictions with the configured method, project
 constraints, then score the frame (timings, contact counts, rebuild counts,
-stability, tunneling).  Rows stream to disk as they are produced, so an
-aborted run still leaves a usable partial CSV.
+stability, tunneling, the solver's final residual).  Rows stream to disk as
+they are produced, so an aborted run still leaves a usable partial CSV.
 
 Two files are written per run: the main CSV includes wall-clock timing
 columns; a ``.det.csv`` companion drops them so that two runs of the same
@@ -34,7 +34,7 @@ from .spheres import SphereParams, build_sphere_set, update_spheres
 
 CSV_FIELDS = ("frame", "detect_time_s", "solve_time_s", "rebuild_count",
               "raw_contacts", "validated_contacts", "stability_m",
-              "tunneled_vertices")
+              "tunneled_vertices", "solver_residual")
 DET_FIELDS = tuple(f for f in CSV_FIELDS if not f.endswith("_time_s"))
 
 FrameHook = Callable[[int, World, "FrameMetrics", Optional[np.ndarray]], None]
@@ -50,6 +50,7 @@ class FrameMetrics:
     validated_contacts: int
     stability_m: float
     tunneled_vertices: int
+    solver_residual: float  # largest |C| of the frame's last solver sweep
 
     def row(self) -> Dict[str, str]:
         return {
@@ -61,6 +62,7 @@ class FrameMetrics:
             "validated_contacts": str(self.validated_contacts),
             "stability_m": f"{self.stability_m:.12g}",
             "tunneled_vertices": str(self.tunneled_vertices),
+            "solver_residual": f"{self.solver_residual:.12g}",
         }
 
 
@@ -378,8 +380,8 @@ def run_scene(config: SceneConfig,
             constraints = _collision_constraints(contacts, world, method,
                                                  state.predicted)
             t1 = perf_counter()
-            solve_step(state, world.distance_constraints, constraints,
-                       solver_cfg, frame=frame)
+            trace = solve_step(state, world.distance_constraints,
+                               constraints, solver_cfg, frame=frame)
             solve_time = perf_counter() - t1
             stab = stability_metric(prev_positions, state.positions,
                                     _participating_vertices(contacts, world))
@@ -387,7 +389,8 @@ def run_scene(config: SceneConfig,
                 frame=frame, detect_time_s=detect_time,
                 solve_time_s=solve_time, rebuild_count=rebuilds,
                 raw_contacts=raw, validated_contacts=len(contacts),
-                stability_m=stab, tunneled_vertices=tunneled_count(world))
+                stability_m=stab, tunneled_vertices=tunneled_count(world),
+                solver_residual=trace[-1])
             reporter.write(row)
             metrics.append(row)
             if frame_hook:

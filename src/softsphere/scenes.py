@@ -8,8 +8,8 @@ from the built-in constructors at the bottom of this module.
 ``generate_scene`` turns a SceneConfig into a World: one global particle
 state covering all objects, per-object index bookkeeping, and the distance
 constraints that give deformable meshes their structure.  Those are one
-``DISTANCE_DTYPE`` array, a row per unique edge, built once here; the
-solver projects its rows in order.
+``DISTANCE_DTYPE`` array, a row per unique edge, coloured and built once
+here; the solver projects its rows colour by colour.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from .mesh import (MeshError, TriangleMesh, cloth_grid, icosphere, load_mesh,
                    plane_floor, triangle_neighbors, triangle_normals,
                    validate_mesh)
-from .pbd import DISTANCE_DTYPE, ParticleState
+from .pbd import ParticleState, distance_rows
 
 
 class SceneError(Exception):
@@ -311,20 +311,19 @@ def generate_scene(config: SceneConfig) -> World:
 def _distance_constraints(objects: Sequence[SceneObject],
                           positions: np.ndarray) -> np.ndarray:
     """One ``DISTANCE_DTYPE`` row per unique mesh edge of every deformable
-    object: objects in scene order, each object's edges in sorted order."""
-    per_object = [np.empty((0, 2), dtype=np.int64)]
+    object, coloured by ``distance_rows``: before colouring, objects are in
+    scene order and each object's edges in sorted (i, j) order."""
+    nv = len(positions)
+    keys = [np.empty(0, dtype=np.int64)]
     for obj in objects:
         if not obj.static:
             t = obj.global_triangles()
             edges = np.concatenate([t[:, (0, 1)], t[:, (1, 2)], t[:, (2, 0)]])
-            per_object.append(np.unique(np.sort(edges, axis=1), axis=0))
-    edges = np.concatenate(per_object)
-    out = np.empty(len(edges), dtype=DISTANCE_DTYPE)
-    out["i"] = edges[:, 0]
-    out["j"] = edges[:, 1]
-    out["rest_length"] = np.linalg.norm(positions[edges[:, 0]]
-                                        - positions[edges[:, 1]], axis=1)
-    return out
+            edges.sort(axis=1)
+            keys.append(np.unique(edges[:, 0] * nv + edges[:, 1]))
+    i, j = np.divmod(np.concatenate(keys), nv)
+    return distance_rows(i, j, np.linalg.norm(positions[i] - positions[j],
+                                              axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -46,3 +46,31 @@ def sweep_distances(predicted: np.ndarray, inv_mass: np.ndarray,
         p[i] += dp_i
         p[j] += dp_j
     return p
+
+
+def sweep_collisions(predicted: np.ndarray, inv_mass: np.ndarray,
+                     collisions: np.ndarray) -> np.ndarray:
+    """One sequential pass over ``COLLISION_DTYPE`` rows in array order.
+
+    A row's sphere centres are its two triangle centroids plus the stored
+    offsets.  When they are closer than the radius sum (C < 0), side a's
+    particles move by w_k * 3C/W along the unit centre line n from a to b
+    (the normal hint when the centres coincide) and side b's by
+    -w_k * 3C/W, with W the six inverse masses summed: the centroids then
+    part by exactly -C.  Rows with all six particles pinned are skipped.
+    Returns the positions after the pass.
+    """
+    p = np.array(predicted, dtype=np.float64)
+    for row in collisions:
+        a, b = row["particles"][:3], row["particles"][3:]
+        ca = p[a].sum(axis=0) / 3.0 + row["offsets"][0]
+        cb = p[b].sum(axis=0) / 3.0 + row["offsets"][1]
+        dist = float(np.linalg.norm(cb - ca))
+        c = dist - float(row["radius_sum"])
+        total = float(inv_mass[a].sum() + inv_mass[b].sum())
+        if c >= 0.0 or total == 0.0:
+            continue
+        n = row["normal_hint"] if dist < 1e-12 else (cb - ca) / dist
+        p[a] += (3.0 * c / total) * inv_mass[a][:, None] * n
+        p[b] -= (3.0 * c / total) * inv_mass[b][:, None] * n
+    return p

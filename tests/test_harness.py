@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import softsphere.harness as harness
 from softsphere.cli import main as cli_main
 from softsphere.detect import CandidatePair
 from softsphere.harness import (COMPARE_FIELDS, CSV_FIELDS, DET_FIELDS,
@@ -208,7 +209,7 @@ def test_generate_scene_constraints_cover_unique_edges_of_deformables():
     assert len(cons) == len(unique), "static adds none"
     seen = set(zip(cons["i"].tolist(), cons["j"].tolist()))
     assert len(seen) == len(unique)
-    for i, j, rest_length in cons.tolist():
+    for i, j, rest_length, _colour in cons.tolist():
         rest = np.linalg.norm(world.state.positions[i]
                               - world.state.positions[j])
         assert rest_length == pytest.approx(rest, rel=1e-12)
@@ -431,6 +432,29 @@ def test_run_scene_single_static_frame_reports_one_quiet_row():
     assert row.raw_contacts == 0 and row.validated_contacts == 0
     assert row.rebuild_count == 0 and row.tunneled_vertices == 0
     assert row.stability_m == 0.0
+    assert row.solver_residual == 0.0, "static objects have no edges"
+
+
+def test_run_scene_reports_the_solver_residual_of_the_last_sweep(
+        monkeypatch, tmp_path):
+    """Each row's solver_residual is the last entry of that frame's solver
+    trace, written to the companion CSV like stability_m."""
+    traces = []
+    real = harness.solve_step
+
+    def record(*args, **kwargs):
+        traces.append(real(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(harness, "solve_step", record)
+    config = scene_of(cloth_spec(n=4, spacing=0.1, pinned="corners"),
+                      frames=5)
+    result = run_scene(config, out_path=tmp_path / "r.csv")
+    assert result.column("solver_residual").tolist() == [t[-1] for t in traces]
+    assert all(t[-1] > 0.0 for t in traces), "a falling cloth stretches"
+    det = (tmp_path / "r.det.csv").read_text().splitlines()
+    assert [line.split(",")[-1] for line in det[1:]] == [
+        f"{t[-1]:.12g}" for t in traces]
 
 
 def test_run_scene_writes_the_exact_csv_header(tmp_path):
@@ -439,13 +463,14 @@ def test_run_scene_writes_the_exact_csv_header(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == ("frame,detect_time_s,solve_time_s,rebuild_count,"
                         "raw_contacts,validated_contacts,stability_m,"
-                        "tunneled_vertices")
+                        "tunneled_vertices,solver_residual")
     assert len(lines) == 2, "header plus one frame"
     det = tmp_path / "run.det.csv"
     assert det.exists()
     det_lines = det.read_text().splitlines()
     assert det_lines[0] == ("frame,rebuild_count,raw_contacts,"
-                            "validated_contacts,stability_m,tunneled_vertices")
+                            "validated_contacts,stability_m,tunneled_vertices,"
+                            "solver_residual")
 
 
 def test_run_scene_companion_csv_is_deterministic(tmp_path):
@@ -513,13 +538,15 @@ def test_run_result_column_extracts_metric_series():
 def test_frame_metrics_row_formatting():
     row = FrameMetrics(frame=3, detect_time_s=0.01234567, solve_time_s=0.5,
                        rebuild_count=7, raw_contacts=11, validated_contacts=5,
-                       stability_m=0.000123456789012345, tunneled_vertices=2)
+                       stability_m=0.000123456789012345, tunneled_vertices=2,
+                       solver_residual=0.00098765432109876543)
     d = row.row()
     assert d["frame"] == "3"
     assert d["detect_time_s"] == "0.012346"
     assert d["solve_time_s"] == "0.500000"
     assert d["stability_m"] == "0.000123456789012"
     assert d["tunneled_vertices"] == "2"
+    assert d["solver_residual"] == "0.000987654321099"
 
 
 # ---------------------------------------------------------------------------

@@ -5,18 +5,25 @@ velocities; distance and collision checks run one solver sweep, then
 re-measure the constraint, so the expected values come from the constraint
 definitions rather than from the code under test.  A whole sweep over an
 edge array is checked against ``oracles.project_distance`` applied row by
-row.
+row in the array's colour order, and the edge colouring against the
+properties that make one vector pass per colour exact.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import sweep_distances
-from softsphere.pbd import (COLLISION_DTYPE, DISTANCE_DTYPE, ParticleState,
-                            SolverConfig, SolverInstabilityError, predict,
+import softsphere.harness as harness
+from oracles import sweep_collisions, sweep_distances
+from softsphere.mesh import cloth_grid, icosphere
+from softsphere.pbd import (COLLISION_DTYPE, ParticleState, SolverConfig,
+                            SolverInstabilityError, distance_rows, predict,
                             solve_step)
+from softsphere.scenes import builtin_scene
 
 
 def total_momentum(state: ParticleState) -> np.ndarray:
@@ -28,7 +35,8 @@ def total_momentum(state: ParticleState) -> np.ndarray:
 
 def edge_array(rows):
     """A ``DISTANCE_DTYPE`` array from (i, j, rest_length) tuples."""
-    return np.array(rows, dtype=DISTANCE_DTYPE)
+    i, j, rest = zip(*rows)
+    return distance_rows(i, j, rest)
 
 
 def chain(n=10, spacing=0.1, pinned_top=True):
@@ -61,6 +69,63 @@ def test_constraint_and_config_validation():
         SolverConfig(dt=0.0)
     with pytest.raises(ValueError):
         SolverConfig(dt=0.01, iterations=0)
+    with pytest.raises(ValueError, match="two distinct"):
+        distance_rows([0, 1], [1, 1], [1.0, 1.0])
+    with pytest.raises(ValueError, match="two distinct"):
+        distance_rows([-1], [1], [1.0])
+
+
+# ---------------------------------------------------------------------------
+# edge colouring
+# ---------------------------------------------------------------------------
+
+
+def check_colouring(i, j):
+    """``distance_rows`` on the edges (i[e], j[e]): every input row appears
+    once, no particle twice within a colour, input order within a colour,
+    colours ascending, and at most 2Δ - 1 colours for largest degree Δ."""
+    i = np.asarray(i, dtype=np.int64)
+    j = np.asarray(j, dtype=np.int64)
+    rows = distance_rows(i, j, np.arange(len(i), dtype=np.float64))
+    tag = rows["rest_length"].astype(np.int64)  # input row of each output row
+    assert sorted(tag.tolist()) == list(range(len(i)))
+    assert np.array_equal(rows["i"], i[tag])
+    assert np.array_equal(rows["j"], j[tag])
+    colour = rows["colour"]
+    assert np.all(np.diff(colour) >= 0)
+    for c in np.unique(colour):
+        mine = colour == c
+        ends = np.concatenate((rows["i"][mine], rows["j"][mine]))
+        assert len(np.unique(ends)) == len(ends), f"colour {c} shares a particle"
+        assert np.all(np.diff(tag[mine]) > 0), f"colour {c} out of input order"
+    degree = int(np.bincount(np.concatenate((i, j))).max()) if len(i) else 0
+    assert len(np.unique(colour)) <= max(2 * degree - 1, 0)
+    return rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 24), st.integers(0, 24))
+                .filter(lambda e: e[0] != e[1]), max_size=200))
+def test_edge_colouring_properties_on_random_edges(pairs):
+    """Any edge list, repeated edges included."""
+    check_colouring([a for a, _ in pairs], [b for _, b in pairs])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["icosphere", "cloth"]), st.integers(0, 2 ** 32 - 1))
+def test_edge_colouring_properties_on_mesh_edges(name, seed):
+    """The unique edges of icosphere(2) or a 9x9 cloth, shuffled and
+    randomly oriented."""
+    mesh = icosphere(2) if name == "icosphere" else cloth_grid(9, 0.1)
+    t = mesh.triangles
+    edges = np.unique(np.sort(np.concatenate(
+        [t[:, (0, 1)], t[:, (1, 2)], t[:, (2, 0)]]), axis=1), axis=0)
+    rng = np.random.default_rng(seed)
+    edges = edges[rng.permutation(len(edges))]
+    flip = rng.random(len(edges)) < 0.5
+    edges[flip] = edges[flip][:, ::-1]
+    rows = check_colouring(edges[:, 0], edges[:, 1])
+    assert rows["colour"].max() >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +221,8 @@ def test_project_distance_scales_with_stiffness():
 def test_solve_step_sweep_equals_sequential_project_distance(stiffness):
     """One sweep over a random edge array (free, pinned and both-pinned
     edges, unequal masses, stretched and compressed) equals the scalar
-    reference projection applied to the rows in array order."""
+    reference projection applied to the rows in array order, which is the
+    colour order ``distance_rows`` gives them."""
     rng = np.random.default_rng(31)
     n = 40
     pos = rng.normal(size=(n, 3))
@@ -166,14 +232,43 @@ def test_solve_step_sweep_equals_sequential_project_distance(stiffness):
     j = (i + rng.integers(1, n, size=150)) % n
     rest = (np.linalg.norm(pos[i] - pos[j], axis=1)
             * rng.uniform(0.6, 1.4, size=150))
-    edges = np.zeros(150, dtype=DISTANCE_DTYPE)
-    edges["i"], edges["j"], edges["rest_length"] = i, j, rest
+    edges = distance_rows(i, j, rest)
+    assert not np.array_equal(edges["rest_length"], rest), "rows reordered"
     assert np.any((inv_mass[i] == 0) & (inv_mass[j] == 0))
     assert np.any((inv_mass[i] == 0) != (inv_mass[j] == 0))
     state = ParticleState.rest(pos, inv_mass)
     expect = sweep_distances(pos, inv_mass, edges, stiffness)
     moved = _project_once(state, edges, [], stiffness=stiffness)
     assert np.any(moved != 0.0)
+    assert np.allclose(state.positions, expect, rtol=0.0, atol=1e-12)
+
+
+def test_solve_step_sweep_on_a_scene_equals_the_oracle_sweeps(monkeypatch):
+    """cloth-over-sphere up to its first frame with contact rows: one sweep
+    of ``solve_step`` on that frame's input equals the reference distance
+    sweep over the world's rows in array order followed by the reference
+    collision projections in array order."""
+    seen = []
+    real = harness.solve_step
+
+    def record(state, edges, collisions, config, frame=0):
+        if len(collisions) and not seen:
+            seen.append((state.positions.copy(), state.predicted.copy(),
+                         state.inv_mass.copy(), edges, collisions.copy(),
+                         config))
+        return real(state, edges, collisions, config, frame=frame)
+
+    monkeypatch.setattr(harness, "solve_step", record)
+    harness.run_scene(builtin_scene("cloth-over-sphere", frames=10))
+    assert seen, "the cloth reaches the ball within 10 frames"
+    pos, pred, inv_mass, edges, collisions, config = seen[0]
+    assert len(np.unique(edges["colour"])) > 1
+    swept = sweep_distances(pred, inv_mass, edges, config.stiffness)
+    expect = sweep_collisions(swept, inv_mass, collisions)
+    assert np.any(expect != swept), "a collision row moves particles"
+    state = ParticleState(positions=pos, predicted=pred,
+                          velocities=np.zeros_like(pos), inv_mass=inv_mass)
+    solve_step(state, edges, collisions, replace(config, iterations=1))
     assert np.allclose(state.positions, expect, rtol=0.0, atol=1e-12)
 
 
