@@ -15,10 +15,11 @@ Baselines for method comparison:
   pair of a candidate object pair (mutual plane-side rejection is stage one of
   the exact test; there is no sphere prefilter).
 
-Sphere overlaps are found by a float64 sorted-slab scan.  Only the bulk
-plane-side filter of ``polygon-exact`` works in float32, on coordinates
-relative to the pair's common bounding-box centre and with a conservative
-margin, before it confirms survivors exactly in float64.
+Sphere overlaps are found by a float64 sorted-slab scan, along the axis
+that tests the fewest sphere pairs.  Only the bulk plane-side filter of
+``polygon-exact`` works in float32, on coordinates relative to the pair's
+common bounding-box centre and with a conservative margin, before it
+confirms survivors exactly in float64.
 
 Every detector returns its contacts as one record array of
 ``CONTACT_DTYPE`` rows (object and triangle indices plus the unit
@@ -102,29 +103,38 @@ def broad_phase(spheres: Sequence[BoundingSphere]) -> List[CandidatePair]:
 _EMPTY_PAIRS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
 # row blocks of a slab pass hold at most this many sphere pairs, which caps
-# memory when most spheres share a few slabs
-_SLAB_BLOCK_PAIRS = 1 << 20
+# memory when most spheres share a few slabs.  A block's temporaries (about
+# 40 bytes a pair, some 160 KB) stay small enough for malloc to reuse its
+# heap; much larger blocks make it map fresh pages for every block (at
+# 1 << 20 pairs, about 250 page faults per cloth-over-sphere frame).
+_SLAB_BLOCK_PAIRS = 1 << 12
 # plane_side_survivors: absolute slack (metres) on each float32 plane-side
 # test, and the number of side-a rows compared against side b at once.
 _PLANE_SIDE_MARGIN = 1e-4
 _PLANE_SIDE_BLOCK = 2048
 
 
+def _slab_pairs_tested(key_a: np.ndarray, key_b: np.ndarray) -> int:
+    """Sphere pairs whose distance a slab scan on these keys computes."""
+    slabs, per_slab = np.unique(key_a, return_counts=True)
+    sorted_b = np.sort(key_b)
+    near = (np.searchsorted(sorted_b, slabs + 1, side="right")
+            - np.searchsorted(sorted_b, slabs - 1, side="left"))
+    return int(per_slab @ near)
+
+
 def _slab_candidates(centers_a: np.ndarray, radii_a: np.ndarray,
                      centers_b: np.ndarray, radii_b: np.ndarray,
-                     axis: int, width: float
+                     key_a: np.ndarray, key_b: np.ndarray
                      ) -> Tuple[np.ndarray, np.ndarray]:
     """Sorted-slab scan: pairs can only overlap in same/adjacent slabs.
 
-    ``width`` must be at least the largest possible reach r_a + r_b, so a
-    pair in slabs further than one apart is separated by more than its
+    ``key_a``/``key_b`` are the slab indices of the centers along one axis,
+    for slabs at least as wide as the largest possible reach r_a + r_b, so
+    a pair in slabs further than one apart is separated by more than its
     radii sum along the axis alone.  Every distance test is float64 on
     center differences, so scenes far from the origin lose no pairs.
     """
-    origin = min(float(centers_a[:, axis].min()),
-                 float(centers_b[:, axis].min()))
-    key_a = np.floor((centers_a[:, axis] - origin) / width).astype(np.int64)
-    key_b = np.floor((centers_b[:, axis] - origin) / width).astype(np.int64)
     order_b = np.argsort(key_b, kind="stable")
     sorted_b = key_b[order_b]
     cb_sorted = centers_b[order_b]
@@ -158,18 +168,25 @@ def _overlap_candidates(centers_a: np.ndarray, radii_a: np.ndarray,
                         same_object: bool) -> Tuple[np.ndarray, np.ndarray]:
     """Index pairs with |c_a - c_b| < r_a + r_b (strict, float64).
 
-    Slabs along the widest axis, as wide as the largest possible radius sum.
-    For ``same_object`` only pairs with i < j are produced.
+    Slabs as wide as the largest possible radius sum, along the axis whose
+    scan computes the fewest pair distances (the first such axis on a tie).
+    Counting is cheap next to the scan, and a scene whose extents are
+    nearly equal on every axis does not flip between a cheap and a costly
+    axis on a tiny change of shape.  For ``same_object`` only pairs with
+    i < j are produced.
     """
     if len(centers_a) == 0 or len(centers_b) == 0:
         return _EMPTY_PAIRS
     reach = float(radii_a.max() + radii_b.max())
     if reach <= 0:
         return _EMPTY_PAIRS
-    lo = np.minimum(centers_a.min(axis=0), centers_b.min(axis=0))
-    hi = np.maximum(centers_a.max(axis=0), centers_b.max(axis=0))
+    origin = np.minimum(centers_a.min(axis=0), centers_b.min(axis=0))
+    keys_a = np.floor((centers_a - origin) / reach).astype(np.int64).T
+    keys_b = np.floor((centers_b - origin) / reach).astype(np.int64).T
+    axis = min(range(3),
+               key=lambda k: _slab_pairs_tested(keys_a[k], keys_b[k]))
     ia, ib = _slab_candidates(centers_a, radii_a, centers_b, radii_b,
-                              int(np.argmax(hi - lo)), reach)
+                              keys_a[axis], keys_b[axis])
     if same_object and ia.size:
         keep = ia < ib
         ia, ib = ia[keep], ib[keep]

@@ -668,6 +668,37 @@ def test_overlap_candidates_row_blocks_find_the_same_pairs(monkeypatch):
     assert set(zip(ia.tolist(), ib.tolist())) == expect
 
 
+def test_overlap_candidates_scan_the_axis_with_fewest_pair_tests(monkeypatch):
+    """A thin layer over a cube-shaped cloud, as cloth over a ball: x is
+    the widest extent by 1%, but slabs along y meet the layer with only the
+    cloud's top slabs, so the scan runs along y and finds every overlap."""
+    rng = np.random.default_rng(35)
+    cb = rng.uniform(0, 1, size=(600, 3)) * np.array([1.01, 1.0, 1.0])
+    ca = rng.uniform(0, 1, size=(300, 3)) * np.array([1.0, 0.05, 1.0])
+    ca[:, 1] += 0.95
+    ra = np.full(300, 0.05)
+    rb = np.full(600, 0.05)
+    scanned = []
+    scan = detect._slab_candidates
+
+    def spy(c_a, r_a, c_b, r_b, key_a, key_b):
+        scanned.append(detect._slab_pairs_tested(key_a, key_b))
+        return scan(c_a, r_a, c_b, r_b, key_a, key_b)
+
+    monkeypatch.setattr(detect, "_slab_candidates", spy)
+    ia, ib = _overlap_candidates(ca, ra, cb, rb, same_object=False)
+    origin = np.minimum(ca.min(axis=0), cb.min(axis=0))
+    tested = [detect._slab_pairs_tested(
+        np.floor((ca[:, k] - origin[k]) / 0.1).astype(np.int64),
+        np.floor((cb[:, k] - origin[k]) / 0.1).astype(np.int64))
+        for k in range(3)]
+    assert tested[1] < min(tested[0], tested[2])
+    assert scanned == [tested[1]]
+    assert set(zip(ia.tolist(), ib.tolist())) == brute_force_overlaps(
+        ca, ra, cb, rb)
+    assert ia.size > 0, "the layout must actually produce overlaps"
+
+
 def test_overlap_candidates_zero_radii_find_nothing():
     c = np.zeros((4, 3))
     ia, ib = _overlap_candidates(c, np.zeros(4), c, np.zeros(4),
