@@ -615,7 +615,9 @@ def plane_side_survivors(pts_a: np.ndarray, pts_b: np.ndarray
 
 def polygon_exact_contacts(pair: CandidatePair,
                            positions_a: np.ndarray, triangles_a: np.ndarray,
-                           positions_b: np.ndarray, triangles_b: np.ndarray
+                           positions_b: np.ndarray, triangles_b: np.ndarray,
+                           spheres_a: Tuple[np.ndarray, np.ndarray],
+                           spheres_b: Tuple[np.ndarray, np.ndarray]
                            ) -> Tuple[np.recarray, int]:
     """Exact triangle-intersection detection over a candidate object pair.
 
@@ -624,7 +626,9 @@ def polygon_exact_contacts(pair: CandidatePair,
     survivors get the full exact test.  Returns the intersecting pairs as
     contacts plus the raw count of pairs that reached the exact test.  The
     exact predicate yields no penetration data, so each contact's normal
-    joins the centers of the pair's minimal bounding spheres.
+    joins the centers of the pair's minimal bounding spheres:
+    ``spheres_a``/``spheres_b`` are the (centers, radii) that
+    ``min_bounding_spheres`` gives each object.
     """
     pts_a = positions_a[triangles_a]
     pts_b = positions_b[triangles_b]
@@ -637,8 +641,6 @@ def polygon_exact_contacts(pair: CandidatePair,
     raw = int(ia.size)
     hits = _exact_tri_tri_bulk(pts_a[ia], pts_b[ib])
     ia, ib = ia[hits], ib[hits]
-    ca, _ = min_bounding_spheres(positions_a, triangles_a)
-    cb = ca if same else min_bounding_spheres(positions_b, triangles_b)[0]
-    contacts = _contacts_from_pairs(ia, ib, ca, cb, None,
+    contacts = _contacts_from_pairs(ia, ib, spheres_a[0], spheres_b[0], None,
                                     pair.object_a, pair.object_b)
     return contacts, raw

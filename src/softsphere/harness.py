@@ -29,7 +29,7 @@ from .detect import (CandidatePair, NarrowInput, baseline_bounding_ball,
 from .mesh import TriangleMesh, compute_curvature, triangle_normals
 from .pbd import (COLLISION_DTYPE, SolverConfig, SolverInstabilityError,
                   predict, solve_step)
-from .scenes import SceneConfig, SceneObject, World, generate_scene
+from .scenes import SceneConfig, World, generate_scene
 from .spheres import SphereParams, build_sphere_set, update_spheres
 
 CSV_FIELDS = ("frame", "detect_time_s", "solve_time_s", "rebuild_count",
@@ -159,6 +159,11 @@ def _gather(pairs: Sequence[CandidatePair],
             sum(raw for _, raw in found))
 
 
+# Each method keeps ``spheres``: per object, the (centers, radii) of every
+# triangle's sphere as of the last ``detect``.  ``_collision_constraints``
+# reads the contacted triangles' spheres from it.
+
+
 class _CircumsphereMethod:
     """Curvature-adaptive circumspheres with lazy threshold updates."""
 
@@ -176,6 +181,8 @@ class _CircumsphereMethod:
             self.params.append(params)
             self.curvature.append(curv)
             self.sets.append(build_sphere_set(obj.rest_mesh, curv, params))
+        # update_spheres rebuilds in place, so these views stay current
+        self.spheres = [(s.centers, s.radii) for s in self.sets]
         self.two_sided = config.two_sided
 
     def detect(self, frame: int, meshes: Sequence[TriangleMesh],
@@ -193,12 +200,6 @@ class _CircumsphereMethod:
             pair, inputs, self.params[pair.object_a],
             two_sided=self.two_sided))
         return contacts, raw, rebuilds
-
-    def contact_spheres(self, obj_index: int, tri_ids: np.ndarray,
-                        predicted: np.ndarray, obj: SceneObject
-                        ) -> Tuple[np.ndarray, np.ndarray]:
-        sset = self.sets[obj_index]
-        return sset.centers[tri_ids], sset.radii[tri_ids]
 
 
 class _BoundingBallMethod:
@@ -218,35 +219,28 @@ class _BoundingBallMethod:
             meshes[pair.object_a].triangles))
         return contacts, raw, rebuilds
 
-    def contact_spheres(self, obj_index: int, tri_ids: np.ndarray,
-                        predicted: np.ndarray, obj: SceneObject
-                        ) -> Tuple[np.ndarray, np.ndarray]:
-        centers, radii = self.spheres[obj_index]
-        return centers[tri_ids], radii[tri_ids]
-
 
 class _PolygonExactMethod:
-    """Exact triangle-triangle intersection tests behind a plane prefilter."""
+    """Exact triangle-triangle intersection tests behind a plane prefilter;
+    contacts carry the triangles' minimal bounding spheres."""
 
     def __init__(self, world: World, config: SceneConfig) -> None:
-        pass
+        self.spheres: List[Tuple[np.ndarray, np.ndarray]] = []
 
     def detect(self, frame: int, meshes: Sequence[TriangleMesh],
                pairs: Sequence[CandidatePair]
                ) -> Tuple[np.recarray, int, int]:
+        self.spheres = [min_bounding_spheres(m.vertices, m.triangles)
+                        for m in meshes]
+
         def find(pair):
             ma = meshes[pair.object_a]
             mb = meshes[pair.object_b]
-            return polygon_exact_contacts(pair, ma.vertices, ma.triangles,
-                                          mb.vertices, mb.triangles)
+            return polygon_exact_contacts(
+                pair, ma.vertices, ma.triangles, mb.vertices, mb.triangles,
+                self.spheres[pair.object_a], self.spheres[pair.object_b])
         contacts, raw = _gather(pairs, find)
         return contacts, raw, 0
-
-    def contact_spheres(self, obj_index: int, tri_ids: np.ndarray,
-                        predicted: np.ndarray, obj: SceneObject
-                        ) -> Tuple[np.ndarray, np.ndarray]:
-        pos = predicted[obj.vertex_slice()]
-        return min_bounding_spheres(pos, obj.triangles[tri_ids])
 
 
 _METHOD_CLASSES = {
@@ -265,26 +259,26 @@ _SIDES = (("obj_a", "tri_a"), ("obj_b", "tri_b"))
 
 
 def _collision_constraints(contacts: np.recarray, world: World,
-                           method, predicted: np.ndarray) -> np.ndarray:
+                           spheres: Sequence[Tuple[np.ndarray, np.ndarray]],
+                           predicted: np.ndarray) -> np.ndarray:
     """Turn validated contacts into solver rows (``COLLISION_DTYPE``).
 
-    Sphere centers are captured as offsets from the triangle centroids of the
-    predicted positions, so the spheres ride along while the solver moves the
-    particles.
+    ``spheres`` holds each object's per-triangle (centers, radii), as the
+    detection method keeps them.  Sphere centers are captured as offsets
+    from the triangle centroids of the predicted positions, so the spheres
+    ride along while the solver moves the particles.
     """
     out = np.zeros(len(contacts), dtype=COLLISION_DTYPE)
     for side, (obj_col, tri_col) in enumerate(_SIDES):
         for obj_index in np.unique(contacts[obj_col]).tolist():
             rows = np.nonzero(contacts[obj_col] == obj_index)[0]
             tris = contacts[tri_col][rows]
-            obj = world.objects[obj_index]
-            centers, radii = method.contact_spheres(obj_index, tris,
-                                                    predicted, obj)
-            particles = obj.global_triangles()[tris]
+            centers, radii = spheres[obj_index]
+            particles = world.objects[obj_index].global_triangles()[tris]
             out["particles"][rows, 3 * side:3 * side + 3] = particles
-            out["offsets"][rows, side] = (centers
+            out["offsets"][rows, side] = (centers[tris]
                                           - predicted[particles].mean(axis=1))
-            out["radius_sum"][rows] += radii
+            out["radius_sum"][rows] += radii[tris]
     out["normal_hint"] = contacts.normal
     return out
 
@@ -377,7 +371,8 @@ def run_scene(config: SceneConfig,
                              for o in deformable)
             contacts, raw, rebuilds = method.detect(frame, meshes, pairs)
             detect_time = perf_counter() - t0
-            constraints = _collision_constraints(contacts, world, method,
+            constraints = _collision_constraints(contacts, world,
+                                                 method.spheres,
                                                  state.predicted)
             t1 = perf_counter()
             trace = solve_step(state, world.distance_constraints,

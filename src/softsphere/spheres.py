@@ -18,11 +18,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from .mesh import MeshError, TriangleMesh, bbox_diagonal
+
+
+# Clamp of the curvature radius 1/|K|, in circumradii.  The lower clamp of
+# one circumradius is the smallest sphere through all three corners.
+CURV_RADIUS_MIN_FRAC = 1.0
+CURV_RADIUS_MAX_FRAC = 1.5
 
 
 @dataclass
@@ -31,48 +36,29 @@ class SphereParams:
 
     k_threshold: float
     flat_scale: float = 1.2
-    curv_radius_min_frac: float = 1.0
-    curv_radius_max_frac: float = 1.5
     update_threshold_d: float = 0.7
     cone_tolerance: float = math.radians(5.0)
 
     def __post_init__(self) -> None:
         if not self.k_threshold > 0:
             raise ValueError("k_threshold must be > 0")
-        if not (0 < self.curv_radius_min_frac <= 1 <= self.curv_radius_max_frac):
-            raise ValueError("need 0 < curv_radius_min_frac <= 1 <= curv_radius_max_frac")
         if self.flat_scale < 1:
             raise ValueError("flat_scale must be >= 1")
         if self.update_threshold_d < 0:
             raise ValueError("update_threshold_d must be >= 0")
 
     @classmethod
-    def for_mesh(cls, mesh_or_vertices: Union[TriangleMesh, np.ndarray],
-                 **overrides) -> "SphereParams":
+    def for_mesh(cls, mesh: TriangleMesh, **overrides) -> "SphereParams":
         """Defaults with k_threshold = 25 / bbox_diag^2.
 
         The cutoff corresponds to a curvature radius of one fifth of the
         bounding-box diagonal: gentler features count as flat.
         """
-        verts = (mesh_or_vertices.vertices
-                 if isinstance(mesh_or_vertices, TriangleMesh)
-                 else np.asarray(mesh_or_vertices))
-        diag = bbox_diagonal(verts)
+        diag = bbox_diagonal(mesh.vertices)
         if diag <= 0:
             raise ValueError("mesh has zero bounding-box diagonal")
         overrides.setdefault("k_threshold", 25.0 / diag ** 2)
         return cls(**overrides)
-
-
-@dataclass
-class Circumsphere:
-    """One triangle's sphere, with the snapshot taken when it was built."""
-
-    center: np.ndarray
-    radius: float
-    triangle: int
-    safety_angle: float
-    ref_vertices: np.ndarray  # (3, 3) vertex positions at build time
 
 
 class SphereSet:
@@ -93,96 +79,13 @@ class SphereSet:
         return len(self.radii)
 
 
-# ---------------------------------------------------------------------------
-# scalar geometry
-# ---------------------------------------------------------------------------
-
-
-def circumcenter(a, b, c):
-    """Circumcenter and circumradius of triangle (a, b, c).
-
-    The center lies in the triangle plane, equidistant from the corners.
-    Collinear input raises MeshError.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    ab = b - a
-    ac = c - a
-    n = np.cross(ab, ac)
-    denom = 2.0 * float(np.dot(n, n))
-    scale = max(float(np.dot(ab, ab)), float(np.dot(ac, ac)), 1e-300)
-    if denom <= 1e-24 * scale * scale:
-        raise MeshError("circumcenter of collinear points is undefined")
-    center = a + (float(np.dot(ac, ac)) * np.cross(n, ab)
-                  + float(np.dot(ab, ab)) * np.cross(ac, n)) / denom
-    return center, float(np.linalg.norm(center - a))
-
-
-def hermite_factor(K: float, k_threshold: float) -> float:
-    """Cubic blend: 1 at K = 0, 0 at |K| >= k_threshold, smooth in between."""
-    if k_threshold <= 0:
-        raise ValueError("k_threshold must be > 0")
-    t = min(abs(K) / k_threshold, 1.0)
-    return 1.0 - 3.0 * t * t + 2.0 * t * t * t
-
-
-def sphere_radius(circumradius: float, K: float, params: SphereParams) -> float:
-    """Blend the flat-region radius with the clamped curvature radius 1/|K|."""
-    if circumradius <= 0:
-        raise ValueError("circumradius must be > 0")
-    f = hermite_factor(K, params.k_threshold)
-    r_flat = params.flat_scale * circumradius
-    if K == 0.0:
-        r_curv = r_flat
-    else:
-        r_curv = min(max(1.0 / abs(K), params.curv_radius_min_frac * circumradius),
-                     params.curv_radius_max_frac * circumradius)
-    return f * r_flat + (1.0 - f) * r_curv
-
-
-def sphere_through_triangle(a, b, c, radius: float,
-                            triangle: int = 0) -> Circumsphere:
-    """Build the sphere of a given radius through the triangle's vertices.
-
-    The center is placed at circumcenter - phi * n (n = outward unit normal,
-    phi = sqrt(r^2 - R_c^2)), the unique inward placement passing through all
-    three corners.  Radii below the circumradius are clamped up to it
-    (phi = 0, center in the plane).
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    cc, r_c = circumcenter(a, b, c)
-    n = np.cross(b - a, c - a)
-    n = n / np.linalg.norm(n)
-    r = max(float(radius), r_c)
-    phi = math.sqrt(max(r * r - r_c * r_c, 0.0))
-    center = cc - phi * n
-    return Circumsphere(center=center,
-                        radius=r,
-                        triangle=triangle,
-                        safety_angle=math.atan2(r_c, phi),
-                        ref_vertices=np.stack([a, b, c]))
-
-
-def build_circumsphere(mesh: TriangleMesh, tri: int, K: float,
-                       params: SphereParams) -> Circumsphere:
-    """Sphere for one mesh triangle under the curvature radius law."""
-    i, j, k = mesh.triangles[tri]
-    a, b, c = mesh.vertices[i], mesh.vertices[j], mesh.vertices[k]
-    _, r_c = circumcenter(a, b, c)
-    r = sphere_radius(r_c, K, params)
-    return sphere_through_triangle(a, b, c, r, triangle=tri)
-
-
-# ---------------------------------------------------------------------------
-# vectorized builders and lazy updates
-# ---------------------------------------------------------------------------
-
-
 def _circumcenters_bulk(p: np.ndarray):
-    """Vectorized circumcenters for (m, 3, 3) corner positions."""
+    """Circumcenters, circumradii and outward unit normals for (m, 3, 3)
+    corner positions.
+
+    Each center lies in its triangle's plane, equidistant from the corners.
+    A degenerate (collinear or coincident) triangle raises MeshError.
+    """
     a, b, c = p[:, 0], p[:, 1], p[:, 2]
     ab = b - a
     ac = c - a
@@ -202,14 +105,20 @@ def _circumcenters_bulk(p: np.ndarray):
 
 
 def _radius_law_bulk(r_c: np.ndarray, K: np.ndarray, params: SphereParams) -> np.ndarray:
+    """Blend the flat-region radius with the clamped curvature radius 1/|K|.
+
+    The cubic Hermite factor is 1 at K = 0 and 0 at |K| >= k_threshold; the
+    flat radius is ``flat_scale`` circumradii, and 1/|K| is clamped to
+    [CURV_RADIUS_MIN_FRAC, CURV_RADIUS_MAX_FRAC] circumradii.
+    """
     absK = np.abs(K)
     t = np.minimum(absK / params.k_threshold, 1.0)
     f = 1.0 - 3.0 * t * t + 2.0 * t * t * t
     r_flat = params.flat_scale * r_c
     with np.errstate(divide="ignore"):
         inv_k = np.where(absK > 0, 1.0 / np.where(absK > 0, absK, 1.0), np.inf)
-    r_curv = np.clip(inv_k, params.curv_radius_min_frac * r_c,
-                     params.curv_radius_max_frac * r_c)
+    r_curv = np.clip(inv_k, CURV_RADIUS_MIN_FRAC * r_c,
+                     CURV_RADIUS_MAX_FRAC * r_c)
     r_curv = np.where(K == 0.0, r_flat, r_curv)
     return f * r_flat + (1.0 - f) * r_curv
 

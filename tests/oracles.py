@@ -1,9 +1,59 @@
 """Scalar reference implementations that the library's bulk paths are
-checked against.  Nothing in ``softsphere`` imports this module."""
+checked against.  Nothing in ``softsphere`` imports this module.
 
+The sphere references build one triangle at a time, with plain tuples:
+``circumcenter`` for ``spheres._circumcenters_bulk`` and
+``sphere_through_triangle`` for the placement in ``spheres._place_spheres``
+at a given radius.  The distance and collision references replay the
+solver's projections one row at a time.
+"""
+
+import math
 from typing import Tuple
 
 import numpy as np
+
+
+def circumcenter(a, b, c) -> Tuple[np.ndarray, float]:
+    """Circumcenter and circumradius of triangle (a, b, c).
+
+    The center lies in the triangle plane, equidistant from the corners.
+    Collinear input raises ValueError.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    c = np.asarray(c, dtype=np.float64)
+    ab = b - a
+    ac = c - a
+    n = np.cross(ab, ac)
+    denom = 2.0 * float(np.dot(n, n))
+    scale = max(float(np.dot(ab, ab)), float(np.dot(ac, ac)), 1e-300)
+    if denom <= 1e-24 * scale * scale:
+        raise ValueError("circumcenter of collinear points is undefined")
+    center = a + (float(np.dot(ac, ac)) * np.cross(n, ab)
+                  + float(np.dot(ab, ab)) * np.cross(ac, n)) / denom
+    return center, float(np.linalg.norm(center - a))
+
+
+def sphere_through_triangle(a, b, c, radius: float
+                            ) -> Tuple[np.ndarray, float, float]:
+    """(center, radius, safety angle) of the sphere of a given radius
+    through the triangle's corners.
+
+    The center is placed at circumcenter - phi * n (n = outward unit normal,
+    phi = sqrt(r^2 - R_c^2)), the unique inward placement passing through all
+    three corners.  Radii below the circumradius are clamped up to it
+    (phi = 0, center in the plane).  The safety angle is atan2(R_c, phi).
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    c = np.asarray(c, dtype=np.float64)
+    cc, r_c = circumcenter(a, b, c)
+    n = np.cross(b - a, c - a)
+    n = n / np.linalg.norm(n)
+    r = max(float(radius), r_c)
+    phi = math.sqrt(max(r * r - r_c * r_c, 0.0))
+    return cc - phi * n, r, math.atan2(r_c, phi)
 
 
 def project_distance(predicted: np.ndarray, inv_mass: np.ndarray, i: int,

@@ -20,9 +20,7 @@ from softsphere.harness import (DEFAULT_D_GRID, compare_methods, run_scene,
 from softsphere.mesh import cloth_grid, compute_curvature, icosphere
 from softsphere.scenes import (ObjectSpec, SceneConfig, builtin_scene,
                                generate_scene)
-from softsphere.spheres import (SphereParams, build_sphere_set, circumcenter,
-                                hermite_factor, sphere_radius,
-                                sphere_through_triangle)
+from softsphere.spheres import SphereParams, _place_spheres, build_sphere_set
 
 from test_detect import (EQ_TRI_A, EQ_TRI_B, crossing_pair, narrow_pair,
                          random_triangle, sampled_gap, triangle_input)
@@ -71,10 +69,10 @@ def test_criterion_2_flat_grid_radius_law():
     grid = cloth_grid(10, 0.1)
     curv = compute_curvature(grid)
     params = SphereParams.for_mesh(grid)
-    factors = np.array([hermite_factor(float(k), params.k_threshold)
-                        for k in curv])
+    u = np.minimum(np.abs(curv) / params.k_threshold, 1.0)
+    factors = 1.0 - 3.0 * u ** 2 + 2.0 * u ** 3  # cubic Hermite blend
     sset = build_sphere_set(grid, curv, params)
-    r_c = np.array([circumcenter(*grid.vertices[t])[1]
+    r_c = np.array([circumradius_oracle(*grid.vertices[t])
                     for t in grid.triangles])
     rel = np.abs(sset.radii - params.flat_scale * r_c) / (params.flat_scale * r_c)
     factor_err = float(np.abs(factors - 1.0).max())
@@ -91,23 +89,35 @@ def test_criterion_2_flat_grid_radius_law():
 
 
 def test_criterion_3_sphere_placement_law():
+    """10,000 random triangles placed in one ``_place_spheres`` call at
+    flat_scale = 2, with curvatures drawn from 0 to twice k_threshold, so
+    the radii span [R_c, 2 R_c].  Every corner must lie on its sphere, and
+    the safety angle must equal atan2(R_c, phi), with R_c = abc / 4A and phi
+    the center's depth below the triangle plane."""
     rng = np.random.default_rng(3)
-    worst_incidence = 0.0
-    worst_angle = 0.0
+    params = SphereParams(k_threshold=4.0, flat_scale=2.0)
+    tris, curv = [], []
     for _ in range(10_000):
-        tri = random_triangle(rng)
-        a, b, c = tri
-        r_c = circumradius_oracle(a, b, c)
-        r = rng.uniform(r_c, 2.0 * r_c)
-        s = sphere_through_triangle(a, b, c, r)
-        gaps = np.abs(np.linalg.norm(tri - s.center, axis=1) - s.radius)
-        worst_incidence = max(worst_incidence, float(gaps.max() / s.radius))
-        phi = math.sqrt(max(s.radius ** 2 - r_c ** 2, 0.0))
-        worst_angle = max(worst_angle,
-                          abs(s.safety_angle - math.atan2(r_c, phi)))
-    ok = worst_incidence <= 1e-6 and worst_angle <= 1e-9
+        tris.append(random_triangle(rng))
+        curv.append(rng.uniform(0.0, 2.0 * params.k_threshold))
+    tris = np.stack(tris)
+    centers, radii, safety = _place_spheres(tris, np.array(curv), params)
+
+    r_c = np.array([circumradius_oracle(*tri) for tri in tris])
+    dist = np.linalg.norm(tris - centers[:, None, :], axis=2)
+    worst_incidence = float((np.abs(dist - radii[:, None]).max(axis=1)
+                             / radii).max())
+    n = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
+    n /= np.linalg.norm(n, axis=1)[:, None]
+    phi = np.einsum("ij,ij->i", tris[:, 0] - centers, n)
+    worst_angle = float(np.abs(safety - np.arctan2(r_c, phi)).max())
+    ratio = radii / r_c
+    spans = (ratio.min() >= 1.0 - 1e-9 and ratio.max() <= 2.0 + 1e-9
+             and ratio.min() <= 1.0 + 1e-9 and ratio.max() >= 2.0 - 1e-3)
+    ok = worst_incidence <= 1e-6 and worst_angle <= 1e-9 and spans
     verdict(3, "sphere placement law", ok,
-            f"10000 triangles, r in [R_c, 2 R_c]: worst corner incidence "
+            f"10000 triangles, r / R_c in [{ratio.min():.9f}, "
+            f"{ratio.max():.9f}]: worst corner incidence "
             f"{worst_incidence:.2e} rel, worst safety-angle error "
             f"{worst_angle:.2e} rad")
 
@@ -115,13 +125,6 @@ def test_criterion_3_sphere_placement_law():
 # ---------------------------------------------------------------------------
 # 4. sphere prefilter recall on truly intersecting pairs
 # ---------------------------------------------------------------------------
-
-
-def _default_flat_sphere(tri):
-    """The sphere the default parameters assign an isolated flat triangle."""
-    params = SphereParams(k_threshold=1.0)
-    _, r_c = circumcenter(*tri)
-    return sphere_through_triangle(*tri, sphere_radius(r_c, 0.0, params))
 
 
 def test_criterion_4_prefilter_recall():
@@ -135,8 +138,8 @@ def test_criterion_4_prefilter_recall():
         tri_a, tri_b = crossing_pair(rng)
         gap, bound = sampled_gap(tri_a, tri_b)
         certified += gap <= bound
-        _, raw = narrow_pair(triangle_input(_default_flat_sphere(tri_a)),
-                             triangle_input(_default_flat_sphere(tri_b)))
+        # the spheres the default parameters give isolated flat triangles
+        _, raw = narrow_pair(triangle_input(tri_a), triangle_input(tri_b))
         flagged += raw == 1
     ok = certified == 1000 and flagged == 1000
     verdict(4, "prefilter recall", ok,
@@ -151,13 +154,14 @@ def test_criterion_4_prefilter_recall():
 
 def test_criterion_5_coplanar_neighbor_rejection():
     up = np.array([0.0, 0.0, 1.0])
-    _, r_c = circumcenter(*EQ_TRI_A)
-    sa = sphere_through_triangle(*EQ_TRI_A, 2.0 * r_c, triangle=0)
-    sb = sphere_through_triangle(*EQ_TRI_B, 2.0 * r_c, triangle=1)
-    a, b = triangle_input(sa), triangle_input(sb)
+    r_c = circumradius_oracle(*EQ_TRI_A)
+    a = triangle_input(EQ_TRI_A, flat_scale=2.0)
+    b = triangle_input(EQ_TRI_B, flat_scale=2.0)
     facing_up = np.allclose(a.normals, up) and np.allclose(b.normals, up)
     contacts, raw = narrow_pair(a, b, tol=math.radians(5.0), two_sided=True)
-    depth = sa.radius + sb.radius - np.linalg.norm(sb.center - sa.center)
+    sa, sb = a.sphere_set, b.sphere_set
+    depth = sa.radii[0] + sb.radii[0] - np.linalg.norm(sb.centers[0]
+                                                       - sa.centers[0])
     deep = raw == 1 and depth > r_c
     rejected = facing_up and len(contacts) == 0
     tri = np.array([[0, 1, 2]])

@@ -25,8 +25,9 @@ from softsphere.detect import (BoundingSphere, CandidatePair, NarrowInput,
                                plane_side_survivors, polygon_exact_contacts)
 from softsphere.mesh import (TriangleMesh, cloth_grid, compute_curvature,
                              icosphere, triangle_normals)
-from softsphere.spheres import (SphereParams, SphereSet, build_sphere_set,
-                                circumcenter, sphere_through_triangle)
+from softsphere.spheres import SphereParams, SphereSet, build_sphere_set
+
+from oracles import circumcenter
 
 # ---------------------------------------------------------------------------
 # sampling oracle
@@ -376,13 +377,16 @@ def sphere_input(centers, radii, normals, safety=math.pi / 2):
                        triangles=np.arange(3 * count).reshape(count, 3))
 
 
-def triangle_input(sphere):
-    """A one-triangle NarrowInput from a ``sphere_through_triangle`` sphere,
-    with that triangle's outward normal."""
-    ref = sphere.ref_vertices
-    normal = triangle_normals(ref, np.array([[0, 1, 2]]))[0]
-    return sphere_input(sphere.center, sphere.radius, normal,
-                        safety=sphere.safety_angle)
+def triangle_input(tri, **params):
+    """A one-triangle NarrowInput holding the sphere ``build_sphere_set``
+    gives the triangle where it is flat (K = 0): ``flat_scale``
+    circumradii, under ``SphereParams(k_threshold=1.0, **params)``."""
+    mesh = TriangleMesh(tri, np.array([[0, 1, 2]]))
+    sset = build_sphere_set(mesh, np.zeros(1),
+                            SphereParams(k_threshold=1.0, **params))
+    return NarrowInput(sphere_set=sset,
+                       normals=triangle_normals(mesh.vertices, mesh.triangles),
+                       triangles=mesh.triangles)
 
 
 def sphere_pair(contact, objects):
@@ -478,6 +482,7 @@ EQ_TRI_A = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                      [0.5, math.sqrt(3) / 2, 0.0]])
 EQ_TRI_B = np.array([[0.0, 0.0, 0.0], [0.5, -math.sqrt(3) / 2, 0.0],
                      [1.0, 0.0, 0.0]])
+EQ_R_C = 1.0 / math.sqrt(3)  # circumradius of both
 
 
 def test_cone_rejects_coplanar_neighbors_that_spheres_flag():
@@ -485,17 +490,18 @@ def test_cone_rejects_coplanar_neighbors_that_spheres_flag():
     circumradius: the spheres overlap deeply, but the center-to-center
     direction is perpendicular to both normals, so the safety cones reject
     the contact from either side."""
-    _, r_c = circumcenter(*EQ_TRI_A)
-    sa = sphere_through_triangle(*EQ_TRI_A, radius=2.0 * r_c, triangle=0)
-    sb = sphere_through_triangle(*EQ_TRI_B, radius=2.0 * r_c, triangle=0)
-    a, b = triangle_input(sa), triangle_input(sb)
+    a = triangle_input(EQ_TRI_A, flat_scale=2.0)
+    b = triangle_input(EQ_TRI_B, flat_scale=2.0)
+    assert np.allclose(a.sphere_set.radii, 2.0 * EQ_R_C, rtol=1e-12)
     nz = np.array([0.0, 0.0, 1.0])
     assert np.allclose(a.normals, nz) and np.allclose(b.normals, nz)
     tol = math.radians(5)
     contacts, raw = narrow_pair(a, b, tol=tol)
     assert raw == 1, "the spheres themselves do overlap"
-    depth = sa.radius + sb.radius - np.linalg.norm(sb.center - sa.center)
-    assert depth > r_c, "overlap is deep, not marginal"
+    sa, sb = a.sphere_set, b.sphere_set
+    depth = sa.radii[0] + sb.radii[0] - np.linalg.norm(sb.centers[0]
+                                                       - sa.centers[0])
+    assert depth > EQ_R_C, "overlap is deep, not marginal"
     assert len(contacts) == 0
     one_sided, _ = narrow_pair(a, b, tol=tol, two_sided=False)
     assert len(one_sided) == 0, "already fails on side a"
@@ -594,14 +600,9 @@ def test_intersecting_triangles_always_overlap_as_spheres():
     """Recall of the pre-cone stage: triangle pairs that exactly intersect
     always produce overlapping circumspheres under the default radius law."""
     rng = np.random.default_rng(55)
-    params = SphereParams(k_threshold=1.0)
     for _ in range(300):
         A, B = crossing_pair(rng)
-        _, rc_a = circumcenter(*A)
-        _, rc_b = circumcenter(*B)
-        sa = sphere_through_triangle(*A, radius=1.2 * rc_a)
-        sb = sphere_through_triangle(*B, radius=1.2 * rc_b)
-        _, raw = narrow_pair(triangle_input(sa), triangle_input(sb))
+        _, raw = narrow_pair(triangle_input(A), triangle_input(B))
         assert raw == 1, "missed a true intersection"
 
 
@@ -852,17 +853,26 @@ def test_polygon_exact_contacts_end_to_end():
     far = icosphere(1, 0.5, center=(4.0, 0.0, 0.0))
     near = icosphere(1, 0.5, center=(0.8, 0.0, 0.0))
     home = icosphere(1, 0.5)
-    c0, _ = polygon_exact_contacts(CandidatePair(0, 1), home.vertices,
-                                   home.triangles, far.vertices, far.triangles)
+
+    def exact(a, b):
+        return polygon_exact_contacts(
+            CandidatePair(0, 1), a.vertices, a.triangles, b.vertices,
+            b.triangles, min_bounding_spheres(a.vertices, a.triangles),
+            min_bounding_spheres(b.vertices, b.triangles))
+
+    c0, _ = exact(home, far)
     assert len(c0) == 0
-    c1, raw1 = polygon_exact_contacts(CandidatePair(0, 1), home.vertices,
-                                      home.triangles, near.vertices,
-                                      near.triangles)
+    c1, raw1 = exact(home, near)
     assert len(c1) > 0
     assert raw1 >= len(c1), "raw counts the pairs that reached the exact test"
     keys = [(c.tri_a, c.tri_b) for c in c1]
     assert keys == sorted(keys)
-    assert np.allclose(np.linalg.norm(c1.normal, axis=1), 1.0)
+    # each normal joins the two triangles' minimal bounding spheres
+    ca, _ = min_bounding_spheres(home.vertices, home.triangles)
+    cb, _ = min_bounding_spheres(near.vertices, near.triangles)
+    joins = cb[c1.tri_b] - ca[c1.tri_a]
+    assert np.allclose(c1.normal,
+                       joins / np.linalg.norm(joins, axis=1)[:, None])
     # every reported pair truly intersects
     pa = home.vertices[home.triangles]
     pb = near.vertices[near.triangles]

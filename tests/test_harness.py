@@ -17,7 +17,7 @@ from softsphere.cli import main as cli_main
 from softsphere.detect import CandidatePair
 from softsphere.harness import (COMPARE_FIELDS, CSV_FIELDS, DET_FIELDS,
                                 SWEEP_FIELDS, FrameMetrics,
-                                _CircumsphereMethod, _collision_constraints,
+                                _collision_constraints,
                                 _participating_vertices, compare_methods,
                                 run_scene, stability_metric, sweep_d,
                                 tunneled_count)
@@ -360,48 +360,91 @@ def test_parse_scene_file_missing_file():
 # ---------------------------------------------------------------------------
 
 
-def test_collision_constraints_capture_the_contact_spheres():
-    """Narrow-phase contacts between a deformable and a static icosphere,
-    with the candidate pair given both ways round so each side holds both
-    objects.  Each solver row must reproduce the contact spheres: centroid
-    of the predicted triangle plus stored offset is the sphere center, the
-    radius sum is r_a + r_b, and the particle ids are the global triangle
-    ids.  The predicted positions are nudged below the rebuild threshold,
-    so the offsets must absorb the difference between the stale spheres and
-    the moved triangles."""
+def minimal_sphere_radius(tri: np.ndarray):
+    """Radius of the smallest sphere holding a triangle, and whether the
+    triangle is obtuse: half the longest edge if so, else the circumradius
+    abc / 4A."""
+    sq = sorted(float(np.sum((tri[k] - tri[k - 1]) ** 2)) for k in range(3))
+    if sq[2] > sq[0] + sq[1]:
+        return math.sqrt(sq[2]) / 2.0, True
+    area = 0.5 * np.linalg.norm(np.cross(tri[1] - tri[0], tri[2] - tri[0]))
+    return math.sqrt(sq[0] * sq[1] * sq[2]) / (4.0 * area), False
+
+
+@pytest.mark.parametrize("method_name", ["circumsphere", "bounding-ball",
+                                         "polygon-exact"])
+def test_collision_constraints_capture_the_contact_spheres(method_name):
+    """Contacts between a deformable and a static icosphere, with the
+    candidate pair given both ways round so each side holds both objects.
+    Each solver row must reproduce the contact spheres from its stored
+    offsets (centroid of the predicted triangle plus offset is the sphere
+    center), carry the global triangle ids as particle ids, hold r_a + r_b
+    as its radius sum, and keep the contact normal, which points from
+    sphere a's center to sphere b's.
+
+    circumsphere: the predicted positions are nudged below the rebuild
+    threshold, so the offsets must absorb the difference between the stale
+    spheres and the moved triangles.  bounding-ball and polygon-exact: the
+    deformable ball is stretched threefold along y, so some contacted
+    triangles are obtuse, and every sphere is checked against the minimal
+    sphere worked out here: it holds its triangle's three corners, and its
+    radius is the circumradius (acute) or half the longest edge (obtuse)."""
     config = scene_of(ball_spec(name="soft", subdivision=2,
                                 center=(-0.47, 0.0, 0.0), mass=0.01),
                       ball_spec(name="rock", subdivision=2,
-                                center=(0.47, 0.0, 0.0), mass=0.0))
+                                center=(0.47, 0.0, 0.0), mass=0.0),
+                      method=method_name)
     world = generate_scene(config)
-    method = _CircumsphereMethod(world, config)
+    method = harness._METHOD_CLASSES[method_name](world, config)
     soft, rock = world.objects
     predicted = world.state.positions.copy()
-    predicted[soft.vertex_slice()] += np.random.default_rng(7).normal(
-        scale=1e-3, size=(soft.num_vertices, 3))
+    if method_name == "circumsphere":
+        predicted[soft.vertex_slice()] += np.random.default_rng(7).normal(
+            scale=1e-3, size=(soft.num_vertices, 3))
+    else:
+        predicted[soft.vertex_slice(), 1] *= 3.0
     meshes = [world.mesh_of(o, predicted) for o in world.objects]
     contacts, _, rebuilds = method.detect(
         1, meshes, [CandidatePair(0, 1), CandidatePair(1, 0)])
-    assert rebuilds == 0 and len(contacts) > 0
+    assert len(contacts) > 0
     assert set(contacts.obj_a.tolist()) == {0, 1}
 
-    rows = _collision_constraints(contacts, world, method, predicted)
+    rows = _collision_constraints(contacts, world, method.spheres, predicted)
     assert len(rows) == len(contacts)
     assert np.array_equal(rows["normal_hint"], contacts.normal)
+    centers = np.zeros((len(contacts), 2, 3))
+    radius = np.zeros((len(contacts), 2))
+    obtuse = 0
     for side, (objs, tris) in enumerate(((contacts.obj_a, contacts.tri_a),
                                          (contacts.obj_b, contacts.tri_b))):
         ids = rows["particles"][:, 3 * side:3 * side + 3]
         for k in range(len(contacts)):
             obj = world.objects[objs[k]]
-            sset = method.sets[objs[k]]
             assert np.array_equal(ids[k], obj.global_triangles()[tris[k]])
-            center = predicted[ids[k]].mean(axis=0) + rows["offsets"][k, side]
-            assert np.allclose(center, sset.centers[tris[k]], rtol=0,
-                               atol=1e-12)
-    radii = [method.sets[o].radii for o in range(2)]
-    for k, c in enumerate(contacts):
-        assert rows["radius_sum"][k] == radii[c.obj_a][c.tri_a] + \
-            radii[c.obj_b][c.tri_b]
+            corners = predicted[ids[k]]
+            center = corners.mean(axis=0) + rows["offsets"][k, side]
+            centers[k, side] = center
+            if method_name == "circumsphere":
+                sset = method.sets[objs[k]]
+                assert np.allclose(center, sset.centers[tris[k]], rtol=0,
+                                   atol=1e-12)
+                radius[k, side] = sset.radii[tris[k]]
+            else:
+                radius[k, side], is_obtuse = minimal_sphere_radius(corners)
+                obtuse += is_obtuse
+                reach = np.linalg.norm(corners - center, axis=1)
+                assert np.all(reach <= radius[k, side] + 1e-12)
+    joins = centers[:, 1] - centers[:, 0]
+    assert np.allclose(rows["normal_hint"],
+                       joins / np.linalg.norm(joins, axis=1)[:, None],
+                       rtol=0, atol=1e-9)
+    if method_name == "circumsphere":
+        assert rebuilds == 0
+        assert np.array_equal(rows["radius_sum"], radius.sum(axis=1))
+    else:
+        assert obtuse > 0, "the stretch must reach the obtuse case"
+        assert np.allclose(rows["radius_sum"], radius.sum(axis=1), rtol=1e-12,
+                           atol=0)
 
     touched = _participating_vertices(contacts, world)
     expect = np.unique([v for c in contacts
