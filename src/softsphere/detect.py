@@ -15,8 +15,9 @@ Baselines for method comparison:
   pair of a candidate object pair (mutual plane-side rejection is stage one of
   the exact test; there is no sphere prefilter).
 
-Sphere overlaps are found by a float64 sorted-slab scan, along the axis
-that tests the fewest sphere pairs.  Only the bulk plane-side filter of
+Sphere overlaps are found by a cull against the other side's bounding box,
+then a uniform grid of cells at least as wide as the largest radius sum,
+with every pair test in float64.  Only the bulk plane-side filter of
 ``polygon-exact`` works in float32, on coordinates relative to the pair's
 common bounding-box centre and with a conservative margin, before it
 confirms survivors exactly in float64.
@@ -102,65 +103,39 @@ def broad_phase(spheres: Sequence[BoundingSphere]) -> List[CandidatePair]:
 
 _EMPTY_PAIRS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
-# row blocks of a slab pass hold at most this many sphere pairs, which caps
-# memory when most spheres share a few slabs.  A block's temporaries (about
-# 40 bytes a pair, some 160 KB) stay small enough for malloc to reuse its
-# heap; much larger blocks make it map fresh pages for every block (at
+# the grid kernel tests sphere pairs in blocks of whole key ranges, a new
+# block starting at each multiple of this many pairs, which caps memory when
+# most spheres share a few cells.  A block's largest temporaries (24 bytes a
+# pair, about 100 KB) stay under malloc's mapping threshold, so it reuses
+# its heap; much larger blocks make it map fresh pages for every block (at
 # 1 << 20 pairs, about 250 page faults per cloth-over-sphere frame).
-_SLAB_BLOCK_PAIRS = 1 << 12
+_OVERLAP_BLOCK_PAIRS = 1 << 12
+# the grid has at most this many cells per culled sphere, plus the 27 of
+# the smallest padded grid: cells grow past the reach only where spheres
+# are sparse in the region the grid covers, and its table stays small.
+_GRID_CELLS_PER_SPHERE = 8
 # plane_side_survivors: absolute slack (metres) on each float32 plane-side
 # test, and the number of side-a rows compared against side b at once.
 _PLANE_SIDE_MARGIN = 1e-4
 _PLANE_SIDE_BLOCK = 2048
 
 
-def _slab_pairs_tested(key_a: np.ndarray, key_b: np.ndarray) -> int:
-    """Sphere pairs whose distance a slab scan on these keys computes."""
-    slabs, per_slab = np.unique(key_a, return_counts=True)
-    sorted_b = np.sort(key_b)
-    near = (np.searchsorted(sorted_b, slabs + 1, side="right")
-            - np.searchsorted(sorted_b, slabs - 1, side="left"))
-    return int(per_slab @ near)
+def _sphere_box(centers: np.ndarray, radii: np.ndarray):
+    """Each sphere's per-axis extent (centre - r, centre + r) as 1-D
+    columns, and the box (lo, hi) that holds every sphere."""
+    lows = [centers[:, k] - radii for k in range(3)]
+    highs = [centers[:, k] + radii for k in range(3)]
+    box = (np.array([v.min() for v in lows]), np.array([v.max() for v in highs]))
+    return lows, highs, box
 
 
-def _slab_candidates(centers_a: np.ndarray, radii_a: np.ndarray,
-                     centers_b: np.ndarray, radii_b: np.ndarray,
-                     key_a: np.ndarray, key_b: np.ndarray
-                     ) -> Tuple[np.ndarray, np.ndarray]:
-    """Sorted-slab scan: pairs can only overlap in same/adjacent slabs.
-
-    ``key_a``/``key_b`` are the slab indices of the centers along one axis,
-    for slabs at least as wide as the largest possible reach r_a + r_b, so
-    a pair in slabs further than one apart is separated by more than its
-    radii sum along the axis alone.  Every distance test is float64 on
-    center differences, so scenes far from the origin lose no pairs.
-    """
-    order_b = np.argsort(key_b, kind="stable")
-    sorted_b = key_b[order_b]
-    cb_sorted = centers_b[order_b]
-    rb_sorted = radii_b[order_b]
-    out_i: List[np.ndarray] = []
-    out_j: List[np.ndarray] = []
-    for key in np.unique(key_a):
-        in_slab = np.nonzero(key_a == key)[0]
-        lo = np.searchsorted(sorted_b, key - 1, side="left")
-        hi = np.searchsorted(sorted_b, key + 1, side="right")
-        if lo == hi:
-            continue
-        cols = np.arange(lo, hi)
-        step = max(1, _SLAB_BLOCK_PAIRS // (hi - lo))
-        for start in range(0, in_slab.size, step):
-            rows = in_slab[start:start + step]
-            diff = centers_a[rows][:, None, :] - cb_sorted[None, lo:hi, :]
-            d2 = np.einsum("ikj,ikj->ik", diff, diff)
-            rsum = radii_a[rows][:, None] + rb_sorted[None, lo:hi]
-            ii, jj = np.nonzero(d2 < rsum * rsum)
-            if ii.size:
-                out_i.append(rows[ii])
-                out_j.append(order_b[cols[jj]])
-    if not out_i:
-        return _EMPTY_PAIRS
-    return np.concatenate(out_i), np.concatenate(out_j)
+def _meets_box(lows, highs, box) -> np.ndarray:
+    """Indices of the spheres whose own box meets ``box``."""
+    lo, hi = box
+    keep = (highs[0] >= lo[0]) & (lows[0] <= hi[0])
+    for k in (1, 2):
+        keep &= (highs[k] >= lo[k]) & (lows[k] <= hi[k])
+    return np.flatnonzero(keep)
 
 
 def _overlap_candidates(centers_a: np.ndarray, radii_a: np.ndarray,
@@ -168,26 +143,94 @@ def _overlap_candidates(centers_a: np.ndarray, radii_a: np.ndarray,
                         same_object: bool) -> Tuple[np.ndarray, np.ndarray]:
     """Index pairs with |c_a - c_b| < r_a + r_b (strict, float64).
 
-    Slabs as wide as the largest possible radius sum, along the axis whose
-    scan computes the fewest pair distances (the first such axis on a tie).
-    Counting is cheap next to the scan, and a scene whose extents are
-    nearly equal on every axis does not flip between a cheap and a costly
-    axis on a tiny change of shape.  For ``same_object`` only pairs with
-    i < j are produced.
+    A cull, then a uniform grid (Teschner et al., *Optimized Spatial
+    Hashing for Collision Detection of Deformable Objects*, VMV 2003).
+
+    * Cull: a sphere whose box misses the other side's overall box
+      overlaps nothing.  The boxes come from 1-D per-column reductions,
+      which cost microseconds where an axis reduction over an (n, 3) array
+      costs hundreds.
+    * Grid: the overlap of the two boxes, grown by two reaches (reach =
+      max r_a + max r_b), so every kept centre lies a reach inside it; cells
+      are at least a reach wide, so an overlapping pair sits in the same or
+      adjacent cells on every axis.  Keys are linear with one cell of
+      padding per axis, so the cells z - 1 .. z + 1 of a column form one
+      key range.  Side b is sorted by key, and a table of where each key
+      starts gives every side-a sphere its 9 neighbour-column ranges.
+    * Pair test: float64 on center differences, so scenes far from the
+      origin lose no pairs, in blocks of about ``_OVERLAP_BLOCK_PAIRS``.
+
+    For ``same_object`` only pairs with i < j are produced.
     """
     if len(centers_a) == 0 or len(centers_b) == 0:
         return _EMPTY_PAIRS
     reach = float(radii_a.max() + radii_b.max())
     if reach <= 0:
         return _EMPTY_PAIRS
-    origin = np.minimum(centers_a.min(axis=0), centers_b.min(axis=0))
-    keys_a = np.floor((centers_a - origin) / reach).astype(np.int64).T
-    keys_b = np.floor((centers_b - origin) / reach).astype(np.int64).T
-    axis = min(range(3),
-               key=lambda k: _slab_pairs_tested(keys_a[k], keys_b[k]))
-    ia, ib = _slab_candidates(centers_a, radii_a, centers_b, radii_b,
-                              keys_a[axis], keys_b[axis])
-    if same_object and ia.size:
+    lows_a, highs_a, box_a = _sphere_box(centers_a, radii_a)
+    lows_b, highs_b, box_b = _sphere_box(centers_b, radii_b)
+    ia = _meets_box(lows_a, highs_a, box_b)
+    ib = _meets_box(lows_b, highs_b, box_a)
+    if ia.size == 0 or ib.size == 0:
+        return _EMPTY_PAIRS
+    lo = np.maximum(box_a[0], box_b[0]) - 2.0 * reach
+    span = np.minimum(box_a[1], box_b[1]) + 2.0 * reach - lo
+    max_cells = 27 + _GRID_CELLS_PER_SPHERE * (ia.size + ib.size)
+    cell = max(reach, float(span.max()) / max_cells)
+    dims = np.floor(span / cell).astype(np.int64) + 3
+    while int(dims[0]) * int(dims[1]) * int(dims[2]) > max_cells:
+        cell *= 2.0
+        dims = np.floor(span / cell).astype(np.int64) + 3
+
+    def cell_keys(c: np.ndarray) -> np.ndarray:
+        idx = np.floor((c - lo) / cell).astype(np.int64) + 1
+        return (idx[:, 0] * dims[1] + idx[:, 1]) * dims[2] + idx[:, 2]
+
+    key_b = cell_keys(centers_b[ib])
+    order = np.argsort(key_b, kind="stable")
+    ib = ib[order]
+    ca, ra = centers_a[ia], radii_a[ia]
+    cb, rb = centers_b[ib], radii_b[ib]
+    # starts[k]: how many side-b spheres have a key below k
+    starts = np.zeros(int(dims.prod()) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key_b, minlength=starts.size - 1), out=starts[1:])
+    # one range per (x, y) neighbour column, covering z - 1 .. z + 1
+    shifts = ((np.arange(-1, 2)[:, None] * dims[1]
+               + np.arange(-1, 2)[None, :]) * dims[2]).ravel()
+    query = (cell_keys(ca)[:, None] + shifts[None, :]).ravel()
+    first = starts[query - 1]
+    count = starts[query + 2] - first
+    ranges = np.flatnonzero(count)
+    if ranges.size == 0:
+        return _EMPTY_PAIRS
+    rows = ranges // shifts.size
+    count = count[ranges]
+    ends = np.cumsum(count)
+    begin = ends - count
+    # pair p of range r tests side-a row rows[r] against b row p + offset[r]
+    offset = first[ranges] - begin
+    edges = np.searchsorted(begin, np.arange(0, int(ends[-1]),
+                                             _OVERLAP_BLOCK_PAIRS)).tolist()
+    out_i: List[np.ndarray] = []
+    out_j: List[np.ndarray] = []
+    for lo_r, hi_r in zip(edges, edges[1:] + [ranges.size]):
+        if lo_r == hi_r:
+            continue
+        n = count[lo_r:hi_r]
+        i = np.repeat(rows[lo_r:hi_r], n)
+        j = (np.arange(begin[lo_r], ends[hi_r - 1])
+             + np.repeat(offset[lo_r:hi_r], n))
+        diff = np.take(ca, i, axis=0) - np.take(cb, j, axis=0)
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        rsum = ra[i] + rb[j]
+        hit = d2 < rsum * rsum
+        if hit.any():
+            out_i.append(ia[i[hit]])
+            out_j.append(ib[j[hit]])
+    if not out_i:
+        return _EMPTY_PAIRS
+    ia, ib = np.concatenate(out_i), np.concatenate(out_j)
+    if same_object:
         keep = ia < ib
         ia, ib = ia[keep], ib[keep]
     return ia, ib
@@ -291,21 +334,22 @@ def min_bounding_spheres(positions: np.ndarray, triangles: np.ndarray
     """
     p = positions[triangles]
     a, b, c = p[:, 0], p[:, 1], p[:, 2]
-    l0 = np.einsum("ij,ij->i", c - b, c - b)   # edge opposite corner a
-    l1 = np.einsum("ij,ij->i", a - c, a - c)
-    l2 = np.einsum("ij,ij->i", b - a, b - a)
-    L = np.stack([l0, l1, l2], axis=1)
-    longest = np.argmax(L, axis=1)
-    lmax = L[np.arange(len(L)), longest]
-    obtuse = lmax > (L.sum(axis=1) - lmax)
+    e0, e1, e2 = c - b, a - c, b - a             # e0 faces corner a
+    l0 = np.einsum("ij,ij->i", e0, e0)
+    l1 = np.einsum("ij,ij->i", e1, e1)
+    l2 = np.einsum("ij,ij->i", e2, e2)
+    lmax = np.maximum(np.maximum(l0, l1), l2)
+    obtuse = np.flatnonzero(lmax > (l0 + l1 + l2) - lmax)
     centers, radii, _ = _circumcenters_bulk(p)
-    if np.any(obtuse):
-        idx = np.nonzero(obtuse)[0]
-        # midpoint of the longest edge: the edge opposite corner `longest`
-        other = np.stack([b + c, c + a, a + b], axis=1) * 0.5  # (m, 3, 3)
-        mid = other[idx, longest[idx]]
-        centers[idx] = mid
-        radii[idx] = 0.5 * np.sqrt(lmax[idx])
+    if obtuse.size:
+        # the longest edge of an obtuse triangle is unique; its midpoint is
+        # the mean of the two corners other than the one it faces
+        facing = np.argmax(np.stack([l0[obtuse], l1[obtuse], l2[obtuse]],
+                                    axis=1), axis=1)
+        q = p[obtuse]
+        k = np.arange(obtuse.size)
+        centers[obtuse] = (q[k, (facing + 1) % 3] + q[k, (facing + 2) % 3]) * 0.5
+        radii[obtuse] = 0.5 * np.sqrt(lmax[obtuse])
     return centers, radii
 
 

@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softsphere import detect
 from softsphere.detect import (BoundingSphere, CandidatePair, NarrowInput,
@@ -618,18 +620,24 @@ def brute_force_overlaps(ca, ra, cb, rb) -> set:
     return set(zip(ii.tolist(), jj.tolist()))
 
 
-def test_overlap_candidates_slab_path_matches_dense_scan():
-    """The sorted-slab scan finds exactly the all-pairs overlaps, on an
-    elongated layout that spreads the spheres over many slabs."""
+def overlap_set(ca, ra, cb, rb, same_object=False) -> set:
+    ia, ib = _overlap_candidates(ca, ra, cb, rb, same_object=same_object)
+    pairs = set(zip(ia.tolist(), ib.tolist()))
+    assert len(pairs) == ia.size, "a pair came out twice"
+    return pairs
+
+
+def test_overlap_candidates_grid_path_matches_dense_scan():
+    """The grid finds exactly the all-pairs overlaps, on an elongated
+    layout that spreads the spheres over many cells."""
     rng = np.random.default_rng(31)
     ca = rng.uniform(0, 1, size=(800, 3)) * np.array([40.0, 1.0, 1.0])
     cb = rng.uniform(0, 1, size=(700, 3)) * np.array([40.0, 1.0, 1.0])
     ra = rng.uniform(0.05, 0.3, size=800)
     rb = rng.uniform(0.05, 0.3, size=700)
-    ia, ib = _overlap_candidates(ca, ra, cb, rb, same_object=False)
     expect = brute_force_overlaps(ca, ra, cb, rb)
-    assert set(zip(ia.tolist(), ib.tolist())) == expect
-    assert ia.size > 0, "the layout must actually produce overlaps"
+    assert overlap_set(ca, ra, cb, rb) == expect
+    assert expect, "the layout must actually produce overlaps"
 
 
 def test_overlap_candidates_same_object_keeps_lower_triangle():
@@ -658,9 +666,9 @@ def test_overlap_candidates_survive_translation(offset):
 
 
 def test_overlap_candidates_row_blocks_find_the_same_pairs(monkeypatch):
-    """Capping each slab pass at a few pairs splits slabs into many row
+    """Capping each block at a few pairs splits the pair tests into many
     blocks without changing the result."""
-    monkeypatch.setattr(detect, "_SLAB_BLOCK_PAIRS", 50)
+    monkeypatch.setattr(detect, "_OVERLAP_BLOCK_PAIRS", 50)
     rng = np.random.default_rng(34)
     c = rng.uniform(0, 1, size=(200, 3))
     r = rng.uniform(0.05, 0.2, size=200)
@@ -669,35 +677,111 @@ def test_overlap_candidates_row_blocks_find_the_same_pairs(monkeypatch):
     assert set(zip(ia.tolist(), ib.tolist())) == expect
 
 
-def test_overlap_candidates_scan_the_axis_with_fewest_pair_tests(monkeypatch):
-    """A thin layer over a cube-shaped cloud, as cloth over a ball: x is
-    the widest extent by 1%, but slabs along y meet the layer with only the
-    cloud's top slabs, so the scan runs along y and finds every overlap."""
-    rng = np.random.default_rng(35)
-    cb = rng.uniform(0, 1, size=(600, 3)) * np.array([1.01, 1.0, 1.0])
-    ca = rng.uniform(0, 1, size=(300, 3)) * np.array([1.0, 0.05, 1.0])
-    ca[:, 1] += 0.95
-    ra = np.full(300, 0.05)
-    rb = np.full(600, 0.05)
-    scanned = []
-    scan = detect._slab_candidates
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       offset=st.tuples(*[st.floats(-1e4, 1e4)] * 3),
+       extent=st.floats(0.01, 10.0),
+       n_a=st.integers(1, 80), n_b=st.integers(1, 80),
+       n_big=st.integers(0, 3), same_object=st.booleans())
+def test_overlap_candidates_match_brute_force_on_mixed_radii(
+        seed, offset, extent, n_a, n_b, n_big, same_object):
+    """A few big spheres among many small ones, anywhere within 1e4 of the
+    origin: the big ones set the cell size, the small ones crowd a cell."""
+    rng = np.random.default_rng(seed)
 
-    def spy(c_a, r_a, c_b, r_b, key_a, key_b):
-        scanned.append(detect._slab_pairs_tested(key_a, key_b))
-        return scan(c_a, r_a, c_b, r_b, key_a, key_b)
+    def cloud(n):
+        c = rng.uniform(0.0, extent, size=(n, 3)) + np.array(offset)
+        r = rng.uniform(0.001, 0.05, size=n) * extent
+        big = rng.choice(n, size=min(n_big, n), replace=False)
+        r[big] = rng.uniform(0.2, 1.0, size=big.size) * extent
+        return c, r
 
-    monkeypatch.setattr(detect, "_slab_candidates", spy)
-    ia, ib = _overlap_candidates(ca, ra, cb, rb, same_object=False)
-    origin = np.minimum(ca.min(axis=0), cb.min(axis=0))
-    tested = [detect._slab_pairs_tested(
-        np.floor((ca[:, k] - origin[k]) / 0.1).astype(np.int64),
-        np.floor((cb[:, k] - origin[k]) / 0.1).astype(np.int64))
-        for k in range(3)]
-    assert tested[1] < min(tested[0], tested[2])
-    assert scanned == [tested[1]]
-    assert set(zip(ia.tolist(), ib.tolist())) == brute_force_overlaps(
-        ca, ra, cb, rb)
-    assert ia.size > 0, "the layout must actually produce overlaps"
+    ca, ra = cloud(n_a)
+    cb, rb = (ca, ra) if same_object else cloud(n_b)
+    expect = brute_force_overlaps(ca, ra, cb, rb)
+    if same_object:
+        expect = {(i, j) for i, j in expect if i < j}
+    assert overlap_set(ca, ra, cb, rb, same_object) == expect
+
+
+@pytest.mark.parametrize("gap_axis", [0, 1, 2])
+def test_overlap_candidates_boxes_that_do_not_meet_find_nothing(gap_axis):
+    """Two clouds that share their extent on two axes but are apart by more
+    than a reach on the third: no sphere box meets the other side's box."""
+    rng = np.random.default_rng(36)
+    ca = rng.uniform(0, 1, size=(200, 3))
+    cb = rng.uniform(0, 1, size=(200, 3))
+    cb[:, gap_axis] += 1.0 + 2 * 0.05 + 1e-9
+    r = np.full(200, 0.05)
+    assert brute_force_overlaps(ca, r, cb, r) == set()
+    assert overlap_set(ca, r, cb, r) == set()
+    # the same clouds closer than a reach do meet
+    cb[:, gap_axis] -= 0.2
+    expect = brute_force_overlaps(ca, r, cb, r)
+    assert expect and overlap_set(ca, r, cb, r) == expect
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.125, -7.25, -1e3])
+def test_overlap_candidates_centres_on_cell_boundaries(shift):
+    """Every radius r and centres on a lattice of step r: cells are a reach
+    (2r) wide and start from the data, so every other lattice plane is a
+    cell boundary.  Every float here is exact, so neighbours at exactly 2r
+    touch without overlapping and must not be reported, while those at r,
+    r sqrt 2 and r sqrt 3 must."""
+    r = 0.25
+    steps = np.stack(np.meshgrid(*[np.arange(6)] * 3, indexing="ij"),
+                     axis=-1).reshape(-1, 3)
+    c = steps * r + shift
+    rc = np.full(len(c), r)
+    for ca, cb in ((c, c), (c, c + np.array([r, 0.0, 2 * r]))):
+        expect = brute_force_overlaps(ca, rc, cb, rc)
+        d2 = ((ca[:, None] - cb[None]) ** 2).sum(axis=2)
+        assert (d2 == (2 * r) ** 2).any(), "the lattice must hold touching pairs"
+        assert len(expect) == int((d2 < (2 * r) ** 2).sum())
+        assert overlap_set(ca, rc, cb, rc) == expect
+    expect = {(i, j) for i, j in brute_force_overlaps(c, rc, c, rc) if i < j}
+    assert overlap_set(c, rc, c, rc, same_object=True) == expect
+
+
+def test_overlap_candidates_negative_coordinates():
+    """Clouds wholly below zero on every axis, and one straddling zero."""
+    rng = np.random.default_rng(37)
+    ca = rng.uniform(-3.0, -1.0, size=(400, 3))
+    cb = rng.uniform(-3.0, 1.0, size=(400, 3))
+    ra = rng.uniform(0.02, 0.15, size=400)
+    rb = rng.uniform(0.02, 0.15, size=400)
+    expect = brute_force_overlaps(ca, ra, cb, rb)
+    assert expect, "the layout must actually produce overlaps"
+    assert overlap_set(ca, ra, cb, rb) == expect
+
+
+def test_overlap_candidates_crowded_cloud():
+    """A thousand spheres a side in a unit cube, radii near a tenth: most
+    cells hold several spheres of each side, and the grid keeps its cells
+    a reach wide."""
+    rng = np.random.default_rng(39)
+    ca = rng.uniform(0, 1, size=(1000, 3))
+    cb = rng.uniform(0, 1, size=(1000, 3))
+    ra = rng.uniform(0.05, 0.1, size=1000)
+    rb = rng.uniform(0.05, 0.1, size=1000)
+    expect = brute_force_overlaps(ca, ra, cb, rb)
+    assert len(expect) > 10000, "the layout must produce many overlaps"
+    assert overlap_set(ca, ra, cb, rb) == expect
+
+
+def test_overlap_candidates_sparse_layout_coarsens_the_grid():
+    """Tiny spheres spread over a region a million radii wide, a few of
+    them in touching pairs: reach-wide cells would number about 1e17, so
+    the grid coarsens its cells, and still finds exactly the overlaps."""
+    rng = np.random.default_rng(38)
+    ca = rng.uniform(-500.0, 500.0, size=(300, 3))
+    cb = rng.uniform(-500.0, 500.0, size=(300, 3))
+    cb[:40] = ca[:40] + rng.uniform(-1e-3, 1e-3, size=(40, 3))
+    ra = np.full(300, 1e-3)
+    rb = np.full(300, 1e-3)
+    expect = brute_force_overlaps(ca, ra, cb, rb)
+    assert len(expect) >= 20, "the layout must actually produce overlaps"
+    assert overlap_set(ca, ra, cb, rb) == expect
 
 
 def test_overlap_candidates_zero_radii_find_nothing():
