@@ -12,15 +12,16 @@ Baselines for method comparison:
 * ``bounding-ball``: per-triangle *minimal* bounding spheres, recomputed every
   frame, overlap test only — no cone filter, no lazy updates.
 * ``polygon-exact``: exact triangle-triangle intersection on every triangle
-  pair of a candidate object pair (mutual plane-side rejection is stage one of
-  the exact test; there is no sphere prefilter).
+  pair of a candidate object pair, with no sphere prefilter: a bulk
+  plane-side filter (stage one), then one vectorized separating-axis test
+  on the pairs it keeps.
 
 Sphere overlaps are found by a cull against the other side's bounding box,
 then a uniform grid of cells at least as wide as the largest radius sum,
-with every pair test in float64.  Only the bulk plane-side filter of
+with every pair test in float64.  Only the plane-side filter of
 ``polygon-exact`` works in float32, on coordinates relative to the pair's
-common bounding-box centre and with a conservative margin, before it
-confirms survivors exactly in float64.
+common bounding-box centre and with a conservative margin; the
+separating-axis test confirms its survivors in float64.
 
 Every detector returns its contacts as one record array of
 ``CONTACT_DTYPE`` rows (object and triangle indices plus the unit
@@ -250,32 +251,36 @@ def _drop_vertex_sharing(ia: np.ndarray, ib: np.ndarray,
     return ia[~shared], ib[~shared]
 
 
-def _contacts_from_pairs(ia: np.ndarray, ib: np.ndarray,
-                         centers_a: np.ndarray, centers_b: np.ndarray,
-                         fallback_normals_a: Optional[np.ndarray],
-                         obj_a: int, obj_b: int) -> np.recarray:
-    """Contact rows for overlapping index pairs, in (tri_a, tri_b) order.
+def _center_dirs(ia: np.ndarray, ib: np.ndarray,
+                 centers_a: np.ndarray, centers_b: np.ndarray,
+                 fallback_normals_a: Optional[np.ndarray]) -> np.ndarray:
+    """Unit center-to-center direction from a to b of each index pair.
 
     Coincident centers take a's triangle normal when ``fallback_normals_a``
     is given.
     """
-    order = np.lexsort((ib, ia))
-    ia = ia[order]
-    ib = ib[order]
     dvec = centers_b[ib] - centers_a[ia]
     dist = np.linalg.norm(dvec, axis=1)
     safe = np.maximum(dist, 1e-300)
-    normals = dvec / safe[:, None]
+    dirs = dvec / safe[:, None]
     if fallback_normals_a is not None:
         coincident = dist < 1e-12
         if np.any(coincident):
-            normals[coincident] = fallback_normals_a[ia[coincident]]
+            dirs[coincident] = fallback_normals_a[ia[coincident]]
+    return dirs
+
+
+def _contacts(ia: np.ndarray, ib: np.ndarray, normals: np.ndarray,
+              obj_a: int, obj_b: int) -> np.recarray:
+    """Contact rows for triangle pairs and their normals, in (tri_a, tri_b)
+    order."""
+    order = np.lexsort((ib, ia))
     out = np.empty(len(ia), dtype=CONTACT_DTYPE).view(np.recarray)
     out.obj_a = obj_a
     out.obj_b = obj_b
-    out.tri_a = ia
-    out.tri_b = ib
-    out.normal = normals
+    out.tri_a = ia[order]
+    out.tri_b = ib[order]
+    out.normal = normals[order]
     return out
 
 
@@ -300,14 +305,9 @@ def narrow_phase(pair: CandidatePair, objects: Sequence[NarrowInput],
     ia, ib = _overlap_candidates(sa.centers, sa.radii, sb.centers, sb.radii, same)
     if same:
         ia, ib = _drop_vertex_sharing(ia, ib, a.triangles)
-    # cone validation, vectorized over candidates
-    dvec = sb.centers[ib] - sa.centers[ia]
-    dist = np.linalg.norm(dvec, axis=1)
-    safe = np.maximum(dist, 1e-300)
-    dirs = dvec / safe[:, None]
-    coincident = dist < 1e-12
-    if np.any(coincident):
-        dirs[coincident] = a.normals[ia[coincident]]
+    # cone validation, vectorized over candidates; the directions it tests
+    # are the contact normals
+    dirs = _center_dirs(ia, ib, sa.centers, sb.centers, a.normals)
     cos_a = np.einsum("ij,ij->i", a.normals[ia], dirs)
     ang_a = np.arccos(np.clip(cos_a, -1.0, 1.0))
     ok = ang_a <= sa.safety_angles[ia] + params.cone_tolerance
@@ -315,8 +315,8 @@ def narrow_phase(pair: CandidatePair, objects: Sequence[NarrowInput],
         cos_b = np.einsum("ij,ij->i", b.normals[ib], -dirs)
         ang_b = np.arccos(np.clip(cos_b, -1.0, 1.0))
         ok &= ang_b <= sb.safety_angles[ib] + params.cone_tolerance
-    contacts = _contacts_from_pairs(ia[ok], ib[ok], sa.centers, sb.centers,
-                                    a.normals, pair.object_a, pair.object_b)
+    contacts = _contacts(ia[ok], ib[ok], dirs[ok],
+                         pair.object_a, pair.object_b)
     return contacts, int(ia.size)
 
 
@@ -369,8 +369,8 @@ def baseline_bounding_ball(pair: CandidatePair,
     ia, ib = _overlap_candidates(ca, ra, cb, rb, same)
     if same:
         ia, ib = _drop_vertex_sharing(ia, ib, triangles_a)
-    contacts = _contacts_from_pairs(ia, ib, ca, cb, None,
-                                    pair.object_a, pair.object_b)
+    contacts = _contacts(ia, ib, _center_dirs(ia, ib, ca, cb, None),
+                         pair.object_a, pair.object_b)
     return contacts, int(ia.size)
 
 
@@ -379,213 +379,76 @@ def baseline_bounding_ball(pair: CandidatePair,
 # ---------------------------------------------------------------------------
 
 
-def _point_in_triangle(p: np.ndarray, tri: np.ndarray, eps: float) -> bool:
-    """Closed point-in-triangle for a point known to lie in the plane."""
-    v0 = tri[2] - tri[0]
-    v1 = tri[1] - tri[0]
-    v2 = p - tri[0]
-    d00 = float(np.dot(v0, v0))
-    d01 = float(np.dot(v0, v1))
-    d11 = float(np.dot(v1, v1))
-    d20 = float(np.dot(v2, v0))
-    d21 = float(np.dot(v2, v1))
-    denom = d00 * d11 - d01 * d01
-    if abs(denom) < 1e-300:
-        return False
-    u = (d11 * d20 - d01 * d21) / denom
-    v = (d00 * d21 - d01 * d20) / denom
-    return u >= -eps and v >= -eps and (u + v) <= 1.0 + eps
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Cross products of vectors stored component-first: u, v are (3, ...)."""
+    return np.stack([u[1] * v[2] - u[2] * v[1],
+                     u[2] * v[0] - u[0] * v[2],
+                     u[0] * v[1] - u[1] * v[0]])
 
 
-def _segments_cross_2d(p0, p1, q0, q1, eps: float) -> bool:
-    """Closed 2D segment intersection via orientation signs."""
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    def on_seg(a, b, c):
-        return (min(a[0], b[0]) - eps <= c[0] <= max(a[0], b[0]) + eps
-                and min(a[1], b[1]) - eps <= c[1] <= max(a[1], b[1]) + eps)
-
-    o1 = orient(p0, p1, q0)
-    o2 = orient(p0, p1, q1)
-    o3 = orient(q0, q1, p0)
-    o4 = orient(q0, q1, p1)
-    if ((o1 > 0) != (o2 > 0)) and ((o3 > 0) != (o4 > 0)) and o1 != 0 and o2 != 0 \
-            and o3 != 0 and o4 != 0:
-        return True
-    for (a, b, c, o) in ((p0, p1, q0, o1), (p0, p1, q1, o2),
-                         (q0, q1, p0, o3), (q0, q1, p1, o4)):
-        if abs(o) <= eps and on_seg(a, b, c):
-            return True
-    return False
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Lengths of vectors stored component-first."""
+    return np.sqrt((v * v).sum(axis=0))
 
 
-def _tri_tri_coplanar(a: np.ndarray, b: np.ndarray, n: np.ndarray,
-                      eps: float) -> bool:
-    """Coplanar case: project out the dominant normal axis, test in 2D."""
-    axis = int(np.argmax(np.abs(n)))
-    keep = [k for k in range(3) if k != axis]
-    A = a[:, keep]
-    B = b[:, keep]
-    for p in A:
-        if _pt_in_tri_2d(p, B, eps):
-            return True
-    for p in B:
-        if _pt_in_tri_2d(p, A, eps):
-            return True
-    for i in range(3):
-        for j in range(3):
-            if _segments_cross_2d(A[i], A[(i + 1) % 3], B[j], B[(j + 1) % 3], eps):
-                return True
-    return False
+def _separated(a: np.ndarray, b: np.ndarray, tol: np.ndarray,
+               axes: np.ndarray) -> np.ndarray:
+    """Pairs whose projections onto some axis lie more than tol x |axis|
+    apart.
 
-
-def _pt_in_tri_2d(p, tri, eps: float) -> bool:
-    sign = 0
-    for i in range(3):
-        a = tri[i]
-        b = tri[(i + 1) % 3]
-        cr = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-        if cr > eps:
-            s = 1
-        elif cr < -eps:
-            s = -1
-        else:
-            continue
-        if sign == 0:
-            sign = s
-        elif s != sign:
-            return False
-    return True
-
-
-def exact_tri_tri(a, b) -> bool:
-    """True iff the closed triangles intersect (touching counts).
-
-    Mutual plane-side rejection, then edge-piercing tests on the general case,
-    2D separating-axis style tests when coplanar.
+    ``a`` and ``b`` hold (component, corner, pair) coordinates with a's
+    first corner at the origin, so it projects to 0 on every axis; ``axes``
+    is (component, axis, pair).
     """
-    A = np.asarray(a, dtype=np.float64)
-    B = np.asarray(b, dtype=np.float64)
-    nA = np.cross(A[1] - A[0], A[2] - A[0])
-    nB = np.cross(B[1] - B[0], B[2] - B[0])
-    lA = np.linalg.norm(nA)
-    lB = np.linalg.norm(nB)
-    if lA < 1e-300 or lB < 1e-300:
-        raise ValueError("degenerate triangle in exact_tri_tri")
-    nA = nA / lA
-    nB = nB / lB
-    scale = max(float(np.abs(A).max()), float(np.abs(B).max()), 1.0)
-    eps = 1e-12 * scale
+    def project(t: np.ndarray, c: int) -> np.ndarray:
+        return t[0, c] * axes[0] + t[1, c] * axes[1] + t[2, c] * axes[2]
 
-    dB = np.array([float(np.dot(nA, B[k] - A[0])) for k in range(3)])
-    if np.all(dB > eps) or np.all(dB < -eps):
-        return False
-    dA = np.array([float(np.dot(nB, A[k] - B[0])) for k in range(3)])
-    if np.all(dA > eps) or np.all(dA < -eps):
-        return False
-
-    coplanar = np.all(np.abs(dB) <= eps) and np.all(np.abs(dA) <= eps)
-    if coplanar:
-        return _tri_tri_coplanar(A, B, nA, eps)
-
-    # general case: some edge of one triangle pierces the other
-    for (tri, other, d) in ((A, B, dA), (B, A, dB)):
-        for i in range(3):
-            j = (i + 1) % 3
-            di, dj = d[i], d[j]
-            if abs(di) <= eps and abs(dj) <= eps:
-                # edge lies in the other plane: 2D segment-vs-triangle
-                n_other = nB if other is B else nA
-                axis = int(np.argmax(np.abs(n_other)))
-                keep = [k for k in range(3) if k != axis]
-                seg0, seg1 = tri[i][keep], tri[j][keep]
-                O = other[:, keep]
-                if _pt_in_tri_2d(seg0, O, eps) or _pt_in_tri_2d(seg1, O, eps):
-                    return True
-                for q in range(3):
-                    if _segments_cross_2d(seg0, seg1, O[q], O[(q + 1) % 3], eps):
-                        return True
-                continue
-            if di * dj > 0:
-                continue
-            t = di / (di - dj)
-            x = tri[i] + t * (tri[j] - tri[i])
-            if _point_in_triangle(x, other, 1e-9):
-                return True
-    return False
+    pa1, pa2 = project(a, 1), project(a, 2)
+    pb0, pb1, pb2 = project(b, 0), project(b, 1), project(b, 2)
+    lo_a = np.minimum(np.minimum(pa1, pa2), 0.0)
+    hi_a = np.maximum(np.maximum(pa1, pa2), 0.0)
+    lo_b = np.minimum(np.minimum(pb0, pb1), pb2)
+    hi_b = np.maximum(np.maximum(pb0, pb1), pb2)
+    limit = tol * _norm(axes)
+    return ((lo_a - hi_b > limit) | (lo_b - hi_a > limit)).any(axis=0)
 
 
-def _exact_tri_tri_bulk(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """exact_tri_tri over stacked pairs: A, B are (P, 3, 3) corner arrays.
+def exact_tri_tri(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Which stacked triangle pairs intersect as closed sets (touching counts).
 
-    The generic plane-distance and edge-piercing logic runs vectorized;
-    pairs with coplanar or edge-in-plane degeneracies are handed to the
-    scalar predicate so both paths agree case for case.
+    ``A`` and ``B`` are (P, 3, 3) corner arrays.  A separating-axis test
+    (Gottschalk, Lin & Manocha, *OBBTree*, SIGGRAPH 1996) over the 17 axes
+    along which two triangles can be told apart: both face normals, the six
+    in-plane edge normals n x e, which settle coplanar pairs, and the nine
+    edge x edge crosses, tried only on pairs the first eight leave undecided.
+    A pair meets unless some axis separates the two projected intervals by
+    more than 1e-12 x max(|coordinate|, 1) x |axis|.  The scale comes from
+    the absolute coordinates, so a verdict does not change when the scene is
+    translated.
     """
-    count = len(A)
-    out = np.zeros(count, dtype=bool)
-    if count == 0:
-        return out
-    nrm_a = np.cross(A[:, 1] - A[:, 0], A[:, 2] - A[:, 0])
-    nrm_b = np.cross(B[:, 1] - B[:, 0], B[:, 2] - B[:, 0])
-    len_a = np.linalg.norm(nrm_a, axis=1)
-    len_b = np.linalg.norm(nrm_b, axis=1)
-    if (len_a < 1e-300).any() or (len_b < 1e-300).any():
+    A = np.asarray(A, dtype=np.float64)
+    B = np.asarray(B, dtype=np.float64)
+    tol = 1e-12 * np.maximum(np.abs(A).max(axis=(1, 2), initial=1.0),
+                             np.abs(B).max(axis=(1, 2), initial=1.0))
+    # (component, corner, pair) coordinates relative to A's first corner: a
+    # common origin moves no interval gap
+    a = (A - A[:, :1]).transpose(2, 1, 0)
+    b = (B - A[:, :1]).transpose(2, 1, 0)
+    edges_a = np.roll(a, -1, axis=1) - a         # edge i runs corner i -> i+1
+    edges_b = np.roll(b, -1, axis=1) - b
+    nrm_a = _cross(edges_a[:, 0], a[:, 2] - a[:, 0])
+    nrm_b = _cross(edges_b[:, 0], b[:, 2] - b[:, 0])
+    if (_norm(nrm_a) < 1e-300).any() or (_norm(nrm_b) < 1e-300).any():
         raise ValueError("degenerate triangle in exact_tri_tri")
-    nrm_a /= len_a[:, None]
-    nrm_b /= len_b[:, None]
-    scale = np.maximum(np.abs(A).reshape(count, -1).max(axis=1),
-                       np.abs(B).reshape(count, -1).max(axis=1))
-    eps = 1e-12 * np.maximum(scale, 1.0)
-
-    d_b = np.einsum("pj,pkj->pk", nrm_a, B - A[:, 0:1])
-    d_a = np.einsum("pj,pkj->pk", nrm_b, A - B[:, 0:1])
-    e = eps[:, None]
-    separated = ((d_b > e).all(axis=1) | (d_b < -e).all(axis=1)
-                 | (d_a > e).all(axis=1) | (d_a < -e).all(axis=1))
-    near_a = np.abs(d_a) <= e
-    near_b = np.abs(d_b) <= e
-    edge_in_plane = np.zeros(count, dtype=bool)
-    for i in range(3):
-        j = (i + 1) % 3
-        edge_in_plane |= near_a[:, i] & near_a[:, j]
-        edge_in_plane |= near_b[:, i] & near_b[:, j]
-    live = ~separated & ~edge_in_plane
-    idx = np.nonzero(live)[0]
-    if idx.size:
-        hit = np.zeros(idx.size, dtype=bool)
-        for (tri, other, dist) in ((A[idx], B[idx], d_a[idx]),
-                                   (B[idx], A[idx], d_b[idx])):
-            v0 = other[:, 2] - other[:, 0]
-            v1 = other[:, 1] - other[:, 0]
-            d00 = np.einsum("pj,pj->p", v0, v0)
-            d01 = np.einsum("pj,pj->p", v0, v1)
-            d11 = np.einsum("pj,pj->p", v1, v1)
-            denom = d00 * d11 - d01 * d01
-            ok = np.abs(denom) >= 1e-300
-            safe_denom = np.where(ok, denom, 1.0)
-            for i in range(3):
-                j = (i + 1) % 3
-                di = dist[:, i]
-                dj = dist[:, j]
-                crossing = (di * dj <= 0) & ~hit
-                delta = di - dj
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    t = np.where(delta != 0, di / np.where(delta == 0, 1.0,
-                                                           delta), 0.5)
-                x = tri[:, i] + t[:, None] * (tri[:, j] - tri[:, i])
-                v2 = x - other[:, 0]
-                d20 = np.einsum("pj,pj->p", v2, v0)
-                d21 = np.einsum("pj,pj->p", v2, v1)
-                u = (d11 * d20 - d01 * d21) / safe_denom
-                v = (d00 * d21 - d01 * d20) / safe_denom
-                inside = ok & (u >= -1e-9) & (v >= -1e-9) & (u + v <= 1 + 1e-9)
-                hit |= crossing & inside
-        out[idx] = hit
-    for k in np.nonzero(edge_in_plane & ~separated)[0]:
-        out[k] = exact_tri_tri(A[k], B[k])
-    return out
+    first = np.concatenate([nrm_a[:, None], nrm_b[:, None],
+                            _cross(nrm_a[:, None], edges_a),
+                            _cross(nrm_b[:, None], edges_b)], axis=1)
+    meet = ~_separated(a, b, tol, first)
+    idx = np.flatnonzero(meet)
+    crosses = _cross(edges_a[:, :, None, idx], edges_b[:, None, :, idx])
+    meet[idx] = ~_separated(a[..., idx], b[..., idx], tol[idx],
+                            crosses.reshape(3, 9, idx.size))
+    return meet
 
 
 def plane_side_survivors(pts_a: np.ndarray, pts_b: np.ndarray
@@ -665,11 +528,11 @@ def polygon_exact_contacts(pair: CandidatePair,
                            ) -> Tuple[np.recarray, int]:
     """Exact triangle-intersection detection over a candidate object pair.
 
-    Every triangle pair between the two objects goes through the exact
-    predicate's bulk first stage (mutual plane-side rejection); the
-    survivors get the full exact test.  Returns the intersecting pairs as
-    contacts plus the raw count of pairs that reached the exact test.  The
-    exact predicate yields no penetration data, so each contact's normal
+    Every triangle pair between the two objects goes through the bulk
+    first stage (mutual plane-side rejection); the survivors get the
+    separating-axis test of ``exact_tri_tri``.  Returns the intersecting
+    pairs as contacts plus the raw count of pairs that reached that test.
+    The exact test yields no penetration data, so each contact's normal
     joins the centers of the pair's minimal bounding spheres:
     ``spheres_a``/``spheres_b`` are the (centers, radii) that
     ``min_bounding_spheres`` gives each object.
@@ -683,8 +546,9 @@ def polygon_exact_contacts(pair: CandidatePair,
         ia, ib = ia[keep], ib[keep]
         ia, ib = _drop_vertex_sharing(ia, ib, triangles_a)
     raw = int(ia.size)
-    hits = _exact_tri_tri_bulk(pts_a[ia], pts_b[ib])
+    hits = exact_tri_tri(pts_a[ia], pts_b[ib])
     ia, ib = ia[hits], ib[hits]
-    contacts = _contacts_from_pairs(ia, ib, spheres_a[0], spheres_b[0], None,
-                                    pair.object_a, pair.object_b)
+    contacts = _contacts(ia, ib, _center_dirs(ia, ib, spheres_a[0],
+                                              spheres_b[0], None),
+                         pair.object_a, pair.object_b)
     return contacts, raw

@@ -453,10 +453,7 @@ def parse_scene_file(path: Union[str, Path]) -> SceneConfig:
 # ---------------------------------------------------------------------------
 
 
-def cloth_over_sphere(method: str = "circumsphere",
-                      update_threshold: float = 0.7,
-                      frames: int = 300, iterations: int = 10,
-                      seed: int = 0) -> SceneConfig:
+def cloth_over_sphere() -> SceneConfig:
     """A 20x20 corner-pinned cloth sagging onto a static sphere mesh.
 
     The pinned corners hold the sheet over the ball while gravity presses
@@ -471,13 +468,10 @@ def cloth_over_sphere(method: str = "circumsphere",
                       radius=0.5, center=np.zeros(3), mass=0.0,
                       check="inscribed-sphere")
     return SceneConfig(name="cloth-over-sphere", objects=[cloth, ball],
-                       dt=1.0 / 60.0, frames=frames, iterations=iterations,
-                       method=method, update_threshold=update_threshold,
-                       seed=seed)
+                       dt=1.0 / 60.0, frames=300, iterations=10)
 
 
-def two_sphere_impact(method: str = "circumsphere", frames: int = 100,
-                      iterations: int = 2, seed: int = 0) -> SceneConfig:
+def two_sphere_impact() -> SceneConfig:
     """Two deformable spheres (~10k triangles total) on a collision course.
 
     The approach speed keeps the hollow shells from pancaking through each
@@ -492,12 +486,11 @@ def two_sphere_impact(method: str = "circumsphere", frames: int = 100,
                        radius=0.5, center=np.array([0.56, 0.0, 0.0]),
                        mass=0.01, velocity=np.array([-0.2, 0.0, 0.0]))
     return SceneConfig(name="two-sphere-impact", objects=[left, right],
-                       dt=1.0 / 60.0, frames=frames, iterations=iterations,
-                       gravity=np.zeros(3), method=method, seed=seed)
+                       dt=1.0 / 60.0, frames=100, iterations=2,
+                       gravity=np.zeros(3))
 
 
-def sphere_drop_on_plane(method: str = "circumsphere", frames: int = 120,
-                         iterations: int = 8, seed: int = 0) -> SceneConfig:
+def sphere_drop_on_plane() -> SceneConfig:
     """A deformable sphere falling onto a tessellated static floor."""
     ball = ObjectSpec(name="ball", generator="icosphere", subdivision=2,
                       radius=0.3, center=np.array([0.0, 1.0, 0.0]), mass=0.01)
@@ -505,8 +498,7 @@ def sphere_drop_on_plane(method: str = "circumsphere", frames: int = 120,
                        resolution=16, center=np.zeros(3), mass=0.0,
                        check="halfspace")
     return SceneConfig(name="sphere-drop-on-plane", objects=[ball, floor],
-                       dt=1.0 / 60.0, frames=frames, iterations=iterations,
-                       method=method, seed=seed)
+                       dt=1.0 / 60.0, frames=120, iterations=8)
 
 
 BUILTIN_SCENES = {

@@ -19,8 +19,7 @@ from hypothesis import strategies as st
 
 from softsphere import detect
 from softsphere.detect import (BoundingSphere, CandidatePair, NarrowInput,
-                               _drop_vertex_sharing, _exact_tri_tri_bulk,
-                               _overlap_candidates,
+                               _drop_vertex_sharing, _overlap_candidates,
                                baseline_bounding_ball, broad_phase,
                                exact_tri_tri, min_bounding_spheres,
                                narrow_phase, object_bounding_sphere,
@@ -171,14 +170,19 @@ def test_oracle_reports_real_separation():
 # ---------------------------------------------------------------------------
 
 
+def meets(a: np.ndarray, b: np.ndarray) -> bool:
+    """The exact test's verdict on one pair, as a one-row stack."""
+    return bool(exact_tri_tri(a[None], b[None])[0])
+
+
 def test_exact_tri_tri_identical_triangles_intersect():
     t = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    assert exact_tri_tri(t, t) is True
+    assert meets(t, t) is True
 
 
 def test_exact_tri_tri_parallel_offset_does_not():
     t = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    assert exact_tri_tri(t, t + np.array([0.0, 0.0, 1.0])) is False
+    assert meets(t, t + np.array([0.0, 0.0, 1.0])) is False
 
 
 def test_exact_tri_tri_touching_counts():
@@ -186,32 +190,32 @@ def test_exact_tri_tri_touching_counts():
     resting on the other face all count as intersections."""
     t = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     folded = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.3, 0.2, 0.9]])
-    assert exact_tri_tri(t, folded) is True, "shared edge must count"
+    assert meets(t, folded) is True, "shared edge must count"
     corner = np.array([[1.0, 0.0, 0.0], [2.0, 0.5, 0.7], [2.0, -0.5, 0.7]])
-    assert exact_tri_tri(t, corner) is True, "shared vertex must count"
+    assert meets(t, corner) is True, "shared vertex must count"
     resting = np.array([[0.25, 0.25, 0.0], [0.5, 0.1, 1.0], [0.1, 0.5, 1.0]])
-    assert exact_tri_tri(t, resting) is True, "vertex on the face must count"
+    assert meets(t, resting) is True, "vertex on the face must count"
 
 
 def test_exact_tri_tri_coplanar_cases():
     t = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
     inside = np.array([[0.3, 0.3, 0.0], [0.8, 0.3, 0.0], [0.3, 0.8, 0.0]])
-    assert exact_tri_tri(t, inside) is True, "coplanar containment"
-    assert exact_tri_tri(inside, t) is True, "containment, swapped"
+    assert meets(t, inside) is True, "coplanar containment"
+    assert meets(inside, t) is True, "containment, swapped"
     apart = inside + np.array([5.0, 0.0, 0.0])
-    assert exact_tri_tri(t, apart) is False, "coplanar but far away"
+    assert meets(t, apart) is False, "coplanar but far away"
     # edges cross but no vertex of either lies inside the other
     crossing = np.array([[-0.5, 0.9, 0.0], [2.5, 0.9, 0.0], [1.0, 3.0, 0.0]])
-    assert exact_tri_tri(t, crossing) is True, "coplanar edge crossing"
+    assert meets(t, crossing) is True, "coplanar edge crossing"
 
 
 def test_exact_tri_tri_rejects_degenerate_input():
     line = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
     t = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     with pytest.raises(ValueError, match="degenerate"):
-        exact_tri_tri(line, t)
+        meets(line, t)
     with pytest.raises(ValueError, match="degenerate"):
-        _exact_tri_tri_bulk(t[None], line[None])
+        meets(t, line)
 
 
 def test_exact_tri_tri_agrees_with_sampling_oracle():
@@ -238,7 +242,7 @@ def test_exact_tri_tri_agrees_with_sampling_oracle():
 
     stacked_a = np.stack([p[0] for p in pairs])
     stacked_b = np.stack([p[1] for p in pairs])
-    hits = _exact_tri_tri_bulk(stacked_a, stacked_b)
+    hits = exact_tri_tri(stacked_a, stacked_b)
 
     n_hit = 0
     for k, (A, B) in enumerate(pairs):
@@ -258,15 +262,19 @@ def test_exact_tri_tri_agrees_with_sampling_oracle():
     assert sum(not hits[k] for k in free) > 100, "random mix too easy"
 
 
-def test_bulk_predicate_matches_scalar_case_for_case():
-    """The vectorized predicate and the scalar one must agree on randoms,
-    coplanar layouts, shared features, and edge-in-plane degeneracies."""
+def test_exact_tri_tri_verdicts_survive_translation():
+    """Randoms, coplanar layouts, shared-edge folds and edges laid in the
+    other triangle's plane: every verdict agrees with the sampling oracle
+    and the known truth, and stays the same when both triangles move by up
+    to 1e5 along (1, 1, 1)."""
     rng = np.random.default_rng(77)
     cases = []
+    truth = []  # True / False / None (unknown, oracle decides)
     for _ in range(400):
         A = random_triangle(rng)
         B = random_triangle(rng) + rng.uniform(0.0, 2.0) * rng.normal(size=3) / 3.0
         cases.append((A, B))
+        truth.append(None)
     for _ in range(150):  # coplanar in a shared random plane
         basis = np.linalg.qr(rng.normal(size=(3, 3)))[0]
         plane = lambda uv: uv[0] * basis[0] + uv[1] * basis[1]
@@ -276,10 +284,12 @@ def test_bulk_predicate_matches_scalar_case_for_case():
                for T in (A, B)) < 1e-2:
             continue
         cases.append((A, B))
+        truth.append(None)
     for _ in range(100):  # shared edge, folded at a random angle
         A = random_triangle(rng)
         apex = interior_point(A, rng) + rng.normal(size=3)
         cases.append((A, np.stack([A[0], A[1], apex])))
+        truth.append(True)
     for _ in range(100):  # one edge laid inside the other's plane
         A = random_triangle(rng)
         n = np.cross(A[1] - A[0], A[2] - A[0])
@@ -291,15 +301,27 @@ def test_bulk_predicate_matches_scalar_case_for_case():
         v0 = p0 - 0.8 * d
         v1 = p0 + 0.8 * d
         cases.append((A, np.stack([v0, v1, p0 + rng.uniform(0.5, 1.5) * n])))
+        truth.append(True)
     t = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    cases.append((t, t))
-    cases.append((t, t + np.array([1e3, 0.0, 0.0])))
+    cases += [(t, t), (t, t + np.array([1e3, 0.0, 0.0]))]
+    truth += [True, False]
 
     A = np.stack([c[0] for c in cases])
     B = np.stack([c[1] for c in cases])
-    bulk = _exact_tri_tri_bulk(A, B)
+    hits = exact_tri_tri(A, B)
     for k, (ta, tb) in enumerate(cases):
-        assert bool(bulk[k]) == exact_tri_tri(ta, tb), f"case {k} disagrees"
+        if truth[k] is not None:
+            assert bool(hits[k]) == truth[k], f"case {k}: known truth missed"
+        if hits[k]:
+            gap, bound = sampled_gap(ta, tb)
+            assert gap <= bound, (f"case {k}: claimed intersection but the "
+                                  f"sampled gap {gap} exceeds {bound}")
+    unknown = [bool(hits[k]) for k in range(len(cases)) if truth[k] is None]
+    assert 50 < sum(unknown) < len(unknown) - 50, "random mix too easy"
+    for offset in (1e2, 1e3, 1e4, 1e5):
+        moved = exact_tri_tri(A + offset, B + offset)
+        flipped = np.flatnonzero(moved != hits)
+        assert flipped.size == 0, f"offset {offset}: cases {flipped} flipped"
 
 
 # ---------------------------------------------------------------------------
@@ -905,7 +927,7 @@ def test_plane_side_survivors_keep_grazing_pairs_far_from_the_origin(offset):
     built = [grazing_pair(rng) for _ in range(300)]
     pts_a = np.stack([p[0] for p in built])
     pts_b = np.stack([p[1] for p in built])
-    assert np.all(_exact_tri_tri_bulk(pts_a, pts_b)), "every pair intersects"
+    assert np.all(exact_tri_tri(pts_a, pts_b)), "every pair intersects"
     pts_a = pts_a + offset
     pts_b = pts_b + offset
     ia, ib = plane_side_survivors(pts_a, pts_b)
@@ -923,11 +945,11 @@ def test_plane_filter_plus_exact_equals_exact_everywhere():
     pts_a = np.stack([random_triangle(rng, scale=0.7) for _ in range(40)])
     pts_b = np.stack([random_triangle(rng, scale=0.7) for _ in range(40)])
     ii, jj = np.meshgrid(np.arange(40), np.arange(40), indexing="ij")
-    all_hits = _exact_tri_tri_bulk(pts_a[ii.ravel()], pts_b[jj.ravel()])
+    all_hits = exact_tri_tri(pts_a[ii.ravel()], pts_b[jj.ravel()])
     full = {(int(i), int(j)) for i, j, h
             in zip(ii.ravel(), jj.ravel(), all_hits) if h}
     ia, ib = plane_side_survivors(pts_a, pts_b)
-    hits = _exact_tri_tri_bulk(pts_a[ia], pts_b[ib])
+    hits = exact_tri_tri(pts_a[ia], pts_b[ib])
     filtered = {(int(i), int(j)) for i, j, h in zip(ia, ib, hits) if h}
     assert filtered == full
     assert ia.size < 1600, "the filter must actually reject something"
@@ -960,5 +982,4 @@ def test_polygon_exact_contacts_end_to_end():
     # every reported pair truly intersects
     pa = home.vertices[home.triangles]
     pb = near.vertices[near.triangles]
-    for c in c1:
-        assert exact_tri_tri(pa[c.tri_a], pb[c.tri_b])
+    assert exact_tri_tri(pa[c1.tri_a], pb[c1.tri_b]).all()
