@@ -36,7 +36,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .mesh import TriangleMesh
+from .mesh import TriangleMesh, cross, dot, norm
 from .spheres import SphereParams, SphereSet, _circumcenters_bulk
 
 @dataclass
@@ -79,8 +79,9 @@ def object_bounding_sphere(mesh: TriangleMesh, object_id: int = 0) -> BoundingSp
     """Centroid-centered sphere containing all vertices (valid, not minimal)."""
     if mesh.num_vertices == 0:
         raise ValueError("empty mesh has no bounding sphere")
-    center = mesh.vertices.mean(axis=0)
-    radius = float(np.linalg.norm(mesh.vertices - center, axis=1).max())
+    columns = mesh.vertices.T  # 1-D reductions: (n, 3) axis ones are slow
+    center = np.array([x.mean() for x in columns])
+    radius = float(norm([x - c for x, c in zip(columns, center)]).max())
     return BoundingSphere(center=center, radius=radius, object_id=object_id)
 
 
@@ -325,32 +326,29 @@ def narrow_phase(pair: CandidatePair, objects: Sequence[NarrowInput],
 # ---------------------------------------------------------------------------
 
 
-def min_bounding_spheres(positions: np.ndarray, triangles: np.ndarray
+def min_bounding_spheres(corners: np.ndarray
                          ) -> Tuple[np.ndarray, np.ndarray]:
-    """Minimal enclosing sphere of each triangle.
+    """Minimal enclosing sphere of each triangle of ``TriangleMesh.corners``.
 
     Acute/right triangles use the circumsphere (in-plane center); obtuse ones
     the midpoint of the longest edge.
     """
-    p = positions[triangles]
-    a, b, c = p[:, 0], p[:, 1], p[:, 2]
-    e0, e1, e2 = c - b, a - c, b - a             # e0 faces corner a
-    l0 = np.einsum("ij,ij->i", e0, e0)
-    l1 = np.einsum("ij,ij->i", e1, e1)
-    l2 = np.einsum("ij,ij->i", e2, e2)
+    a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
+    ab, ac, bc = b - a, c - a, c - b
+    l0, l1, l2 = dot(bc, bc), dot(ac, ac), dot(ab, ab)   # l0 faces corner a
     lmax = np.maximum(np.maximum(l0, l1), l2)
     obtuse = np.flatnonzero(lmax > (l0 + l1 + l2) - lmax)
-    centers, radii, _ = _circumcenters_bulk(p)
+    centers, radii, _, _ = _circumcenters_bulk(a, ab, ac, l2, l1)
     if obtuse.size:
         # the longest edge of an obtuse triangle is unique; its midpoint is
         # the mean of the two corners other than the one it faces
-        facing = np.argmax(np.stack([l0[obtuse], l1[obtuse], l2[obtuse]],
-                                    axis=1), axis=1)
-        q = p[obtuse]
+        facing = np.stack([l0[obtuse], l1[obtuse], l2[obtuse]]).argmax(axis=0)
+        q = corners.take(obtuse, axis=2)
         k = np.arange(obtuse.size)
-        centers[obtuse] = (q[k, (facing + 1) % 3] + q[k, (facing + 2) % 3]) * 0.5
+        centers[:, obtuse] = (q[:, (facing + 1) % 3, k]
+                              + q[:, (facing + 2) % 3, k]) * 0.5
         radii[obtuse] = 0.5 * np.sqrt(lmax[obtuse])
-    return centers, radii
+    return centers.T, radii
 
 
 def baseline_bounding_ball(pair: CandidatePair,
@@ -379,18 +377,6 @@ def baseline_bounding_ball(pair: CandidatePair,
 # ---------------------------------------------------------------------------
 
 
-def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Cross products of vectors stored component-first: u, v are (3, ...)."""
-    return np.stack([u[1] * v[2] - u[2] * v[1],
-                     u[2] * v[0] - u[0] * v[2],
-                     u[0] * v[1] - u[1] * v[0]])
-
-
-def _norm(v: np.ndarray) -> np.ndarray:
-    """Lengths of vectors stored component-first."""
-    return np.sqrt((v * v).sum(axis=0))
-
-
 def _separated(a: np.ndarray, b: np.ndarray, tol: np.ndarray,
                axes: np.ndarray) -> np.ndarray:
     """Pairs whose projections onto some axis lie more than tol x |axis|
@@ -409,7 +395,7 @@ def _separated(a: np.ndarray, b: np.ndarray, tol: np.ndarray,
     hi_a = np.maximum(np.maximum(pa1, pa2), 0.0)
     lo_b = np.minimum(np.minimum(pb0, pb1), pb2)
     hi_b = np.maximum(np.maximum(pb0, pb1), pb2)
-    limit = tol * _norm(axes)
+    limit = tol * norm(axes)
     return ((lo_a - hi_b > limit) | (lo_b - hi_a > limit)).any(axis=0)
 
 
@@ -436,16 +422,16 @@ def exact_tri_tri(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     b = (B - A[:, :1]).transpose(2, 1, 0)
     edges_a = np.roll(a, -1, axis=1) - a         # edge i runs corner i -> i+1
     edges_b = np.roll(b, -1, axis=1) - b
-    nrm_a = _cross(edges_a[:, 0], a[:, 2] - a[:, 0])
-    nrm_b = _cross(edges_b[:, 0], b[:, 2] - b[:, 0])
-    if (_norm(nrm_a) < 1e-300).any() or (_norm(nrm_b) < 1e-300).any():
+    nrm_a = cross(edges_a[:, 0], a[:, 2] - a[:, 0])
+    nrm_b = cross(edges_b[:, 0], b[:, 2] - b[:, 0])
+    if (norm(nrm_a) < 1e-300).any() or (norm(nrm_b) < 1e-300).any():
         raise ValueError("degenerate triangle in exact_tri_tri")
     first = np.concatenate([nrm_a[:, None], nrm_b[:, None],
-                            _cross(nrm_a[:, None], edges_a),
-                            _cross(nrm_b[:, None], edges_b)], axis=1)
+                            cross(nrm_a[:, None], edges_a),
+                            cross(nrm_b[:, None], edges_b)], axis=1)
     meet = ~_separated(a, b, tol, first)
     idx = np.flatnonzero(meet)
-    crosses = _cross(edges_a[:, :, None, idx], edges_b[:, None, :, idx])
+    crosses = cross(edges_a[:, :, None, idx], edges_b[:, None, :, idx])
     meet[idx] = ~_separated(a[..., idx], b[..., idx], tol[idx],
                             crosses.reshape(3, 9, idx.size))
     return meet

@@ -192,8 +192,7 @@ class _CircumsphereMethod:
         for i, mesh in enumerate(meshes):
             rebuilds += update_spheres(self.sets[i], mesh, self.params[i],
                                        self.curvature[i])
-        inputs = [NarrowInput(self.sets[i],
-                              triangle_normals(mesh.vertices, mesh.triangles),
+        inputs = [NarrowInput(self.sets[i], triangle_normals(mesh.corners),
                               mesh.triangles)
                   for i, mesh in enumerate(meshes)]
         contacts, raw = _gather(pairs, lambda pair: narrow_phase(
@@ -211,8 +210,7 @@ class _BoundingBallMethod:
     def detect(self, frame: int, meshes: Sequence[TriangleMesh],
                pairs: Sequence[CandidatePair]
                ) -> Tuple[np.recarray, int, int]:
-        self.spheres = [min_bounding_spheres(m.vertices, m.triangles)
-                        for m in meshes]
+        self.spheres = [min_bounding_spheres(m.corners) for m in meshes]
         rebuilds = sum(m.num_triangles for m in meshes)
         contacts, raw = _gather(pairs, lambda pair: baseline_bounding_ball(
             pair, self.spheres[pair.object_a], self.spheres[pair.object_b],
@@ -230,8 +228,7 @@ class _PolygonExactMethod:
     def detect(self, frame: int, meshes: Sequence[TriangleMesh],
                pairs: Sequence[CandidatePair]
                ) -> Tuple[np.recarray, int, int]:
-        self.spheres = [min_bounding_spheres(m.vertices, m.triangles)
-                        for m in meshes]
+        self.spheres = [min_bounding_spheres(m.corners) for m in meshes]
 
         def find(pair):
             ma = meshes[pair.object_a]
@@ -371,6 +368,7 @@ def run_scene(config: SceneConfig,
                              for o in deformable)
             contacts, raw, rebuilds = method.detect(frame, meshes, pairs)
             detect_time = perf_counter() - t0
+            del meshes  # and their corner gathers, before the solve
             constraints = _collision_constraints(contacts, world,
                                                  method.spheres,
                                                  state.predicted)

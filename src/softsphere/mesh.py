@@ -24,6 +24,7 @@ dual vertices (open fans) report K = 0 by convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import List, Sequence, Union
 
@@ -78,9 +79,11 @@ class TriangleMesh:
     def num_triangles(self) -> int:
         return len(self.triangles)
 
-    def triangle_points(self) -> np.ndarray:
-        """Per-triangle corner positions, shape (nt, 3, 3)."""
-        return self.vertices[self.triangles]
+    @cached_property
+    def corners(self) -> np.ndarray:
+        """``triangle_corners`` of this mesh, gathered on first use and
+        kept, so that every per-frame kernel reads the same gather."""
+        return triangle_corners(self.vertices, self.triangles)
 
 
 # ---------------------------------------------------------------------------
@@ -88,23 +91,52 @@ class TriangleMesh:
 # ---------------------------------------------------------------------------
 
 
+def triangle_corners(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """Corners component-first, (3, 3, nt): [k, c, t] is coordinate k of
+    corner c of triangle t.  One ``take``, 4x faster than a row gather."""
+    return vertices.T.take(triangles.T, axis=1)
+
+
+# Helpers on component-first (3, ...) arrays or triples, in place to keep few
+# temporaries live.  dot adds as numpy 2.4's einsum("ij,ij->i") does, (x0 y0 +
+# x2 y2) + x1 y1, and norm as linalg.norm(axis=1) does: both keep their bits.
+
+
+def cross(u, v) -> np.ndarray:
+    out = np.empty((3,) + np.broadcast_shapes(np.shape(u[0]), np.shape(v[0])))
+    for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(u[i], v[j], out=out[k])
+        out[k] -= u[j] * v[i]
+    return out
+
+
+def dot(u, v) -> np.ndarray:
+    out = u[0] * v[0]
+    out += u[2] * v[2]
+    out += u[1] * v[1]
+    return out
+
+
+def norm(v) -> np.ndarray:
+    out = v[0] * v[0]
+    out += v[1] * v[1]
+    out += v[2] * v[2]
+    return np.sqrt(out, out=out)
+
+
 def triangle_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    p = vertices[triangles]
-    cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-    return 0.5 * np.linalg.norm(cross, axis=1)
+    p = triangle_corners(vertices, triangles)
+    return 0.5 * norm(cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]))
 
 
-def triangle_normals(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    """Outward unit normals (counter-clockwise winding)."""
-    p = vertices[triangles]
-    cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-    norm = np.linalg.norm(cross, axis=1, keepdims=True)
-    norm = np.where(norm < 1e-300, 1.0, norm)
-    return cross / norm
-
-
-def triangle_centroids(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    return vertices[triangles].mean(axis=1)
+def triangle_normals(corners: np.ndarray) -> np.ndarray:
+    """Outward unit normals (counter-clockwise winding) as (nt, 3) rows,
+    from component-first ``corners`` (``TriangleMesh.corners``)."""
+    a = corners[:, 0]
+    n = cross(corners[:, 1] - a, corners[:, 2] - a)
+    length = norm(n)
+    length[length < 1e-300] = 1.0
+    return np.ascontiguousarray((n / length).T)
 
 
 def bbox_diagonal(vertices: np.ndarray) -> float:
@@ -228,7 +260,7 @@ def compute_curvature(mesh: TriangleMesh) -> np.ndarray:
     K = np.zeros(mesh.num_triangles, dtype=np.float64)
     interior = np.nonzero((nbr >= 0).all(axis=1))[0]
     if interior.size:
-        centroids = triangle_centroids(mesh.vertices, mesh.triangles)
+        centroids = mesh.vertices[mesh.triangles].mean(axis=1)
         fan_idx = nbr[interior]                                    # (ni, 3)
         spokes = centroids[fan_idx] - centroids[interior][:, None, :]
         lengths = np.linalg.norm(spokes, axis=2)

@@ -136,11 +136,11 @@ def distance_rows(i, j, rest_length) -> np.ndarray:
 
 def predict(state: ParticleState, config: SolverConfig) -> None:
     """predicted = x + v*dt + dt^2*g for free particles; pinned keep x."""
-    free = state.inv_mass > 0
     dt = config.dt
-    state.predicted[:] = state.positions
-    state.predicted[free] += (state.velocities[free] * dt
-                              + (dt * dt) * config.gravity)
+    np.add(state.positions, state.velocities * dt + (dt * dt) * config.gravity,
+           out=state.predicted)
+    pinned = state.inv_mass == 0
+    state.predicted[pinned] = state.positions[pinned]
 
 
 # A particle's three coordinates as one 24-byte record: fancy indexing then

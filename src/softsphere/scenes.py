@@ -247,7 +247,7 @@ def _resolve_check(spec: ObjectSpec, mesh: TriangleMesh) -> Optional[CheckVolume
         if spec.generator != "icosphere":
             raise SceneError(f"object '{spec.name}': check=inscribed-sphere "
                              "only applies to icospheres")
-        normals = triangle_normals(mesh.vertices, mesh.triangles)
+        normals = triangle_normals(mesh.corners)
         first = mesh.vertices[mesh.triangles[:, 0]]
         r_in = float(np.abs(np.einsum("ij,ij->i", normals,
                                       first - spec.center)).min())

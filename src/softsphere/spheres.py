@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import MeshError, TriangleMesh, bbox_diagonal
+from .mesh import (MeshError, TriangleMesh, bbox_diagonal, cross, dot, norm,
+                   triangle_corners)
 
 
 # Clamp of the curvature radius 1/|K|, in circumradii.  The lower clamp of
@@ -64,8 +65,8 @@ class SphereParams:
 class SphereSet:
     """Per-triangle circumspheres for one mesh, stored as flat arrays.
 
-    ``ref_vertices`` holds each triangle's corners as they were when its
-    sphere was last built; the lazy-update gate measures against them.
+    ``ref_vertices`` holds the corners (as ``TriangleMesh.corners``) at each
+    sphere's last build; the lazy-update gate measures against them.
     """
 
     def __init__(self, centers: np.ndarray, radii: np.ndarray,
@@ -79,45 +80,28 @@ class SphereSet:
         return len(self.radii)
 
 
-def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-wise cross product of two (m, 3) arrays, one column at a time.
-
-    The same products and differences as ``np.cross``, so the same bits,
-    without its axis moves and temporaries.
-    """
-    u0, u1, u2 = u[:, 0], u[:, 1], u[:, 2]
-    v0, v1, v2 = v[:, 0], v[:, 1], v[:, 2]
-    out = np.empty((len(u), 3))
-    np.subtract(u1 * v2, u2 * v1, out=out[:, 0])
-    np.subtract(u2 * v0, u0 * v2, out=out[:, 1])
-    np.subtract(u0 * v1, u1 * v0, out=out[:, 2])
-    return out
-
-
-def _circumcenters_bulk(p: np.ndarray):
-    """Circumcenters, circumradii and outward unit normals for (m, 3, 3)
-    corner positions.
+def _circumcenters_bulk(a, ab, ac, ab2, ac2):
+    """Circumcenters, circumradii, normals n = ab x ac and |n|^2 of triangles
+    (a, a + ab, a + ac), given |ab|^2 and |ac|^2; vectors as (3, m) columns.
 
     Each center lies in its triangle's plane, equidistant from the corners.
     A degenerate (collinear or coincident) triangle raises MeshError.
     """
-    a, b, c = p[:, 0], p[:, 1], p[:, 2]
-    ab = b - a
-    ac = c - a
-    n = _cross(ab, ac)
-    nn = np.einsum("ij,ij->i", n, n)
-    ab2 = np.einsum("ij,ij->i", ab, ab)
-    ac2 = np.einsum("ij,ij->i", ac, ac)
+    n = cross(ab, ac)
+    nn = dot(n, n)
     scale = np.maximum(ab2, ac2)
     bad = nn * 2.0 <= 1e-24 * scale * scale
     if np.any(bad):
         raise MeshError(f"degenerate triangle {int(np.nonzero(bad)[0][0])} "
                         "during sphere build")
-    denom = (2.0 * nn)[:, None]
-    centers = a + (ac2[:, None] * _cross(n, ab)
-                   + ab2[:, None] * _cross(ac, n)) / denom
-    radii = np.linalg.norm(centers - a, axis=1)
-    return centers, radii, n / np.sqrt(nn)[:, None]
+    centers = cross(n, ab)
+    centers *= ac2
+    rest = cross(ac, n)
+    rest *= ab2
+    centers += rest
+    centers /= 2.0 * nn
+    centers += a
+    return centers, norm(np.subtract(centers, a, out=rest)), n, nn
 
 
 def _radius_law_bulk(r_c: np.ndarray, K: np.ndarray, params: SphereParams) -> np.ndarray:
@@ -141,15 +125,19 @@ def _radius_law_bulk(r_c: np.ndarray, K: np.ndarray, params: SphereParams) -> np
 
 def _place_spheres(p: np.ndarray, curvature: np.ndarray,
                    params: SphereParams):
-    """Centers, radii and safety angles for (m, 3, 3) corner positions.
+    """Centers (as (m, 3) rows), radii and safety angles for (3, 3, m) corners.
 
     Circumcenter, then the radius law (clamped up to the circumradius), then
     the inward offset phi, the center and the safety angle.
     """
-    cc, r_c, n = _circumcenters_bulk(p)
+    a, ab, ac = p[:, 0], p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    cc, r_c, n, nn = _circumcenters_bulk(a, ab, ac, dot(ab, ab), dot(ac, ac))
+    n /= np.sqrt(nn)
     r = np.maximum(_radius_law_bulk(r_c, curvature, params), r_c)
     phi = np.sqrt(np.maximum(r * r - r_c * r_c, 0.0))
-    return cc - phi[:, None] * n, r, np.arctan2(r_c, phi)
+    centers = np.empty((len(r), 3))
+    np.subtract(cc, phi * n, out=centers.T)
+    return centers, r, np.arctan2(r_c, phi)
 
 
 def build_sphere_set(mesh: TriangleMesh, curvature: np.ndarray,
@@ -158,19 +146,17 @@ def build_sphere_set(mesh: TriangleMesh, curvature: np.ndarray,
 
     ``curvature`` is the per-triangle array from ``compute_curvature``.
     """
-    p = mesh.triangle_points()
+    p = triangle_corners(mesh.vertices, mesh.triangles)
     centers, radii, safety = _place_spheres(p, curvature, params)
     return SphereSet(centers=centers, radii=radii, safety_angles=safety,
-                     ref_vertices=p.copy())
+                     ref_vertices=p)
 
 
-def shape_changes_bulk(sset: SphereSet, positions: np.ndarray,
-                       triangles: np.ndarray) -> np.ndarray:
-    """Each triangle's max vertex displacement since its sphere was built,
-    as a fraction of the built radius."""
-    now = positions[triangles]
-    disp = np.linalg.norm(now - sset.ref_vertices, axis=2)
-    return disp.max(axis=1) / sset.radii
+def max_displacements(sset: SphereSet, corners: np.ndarray) -> np.ndarray:
+    """Each triangle's largest corner displacement since its sphere was
+    built; over the built radius, it is the shape change."""
+    deltas = [c - r for c, r in zip(corners, sset.ref_vertices)]
+    return norm(deltas).max(axis=0)
 
 
 def update_spheres(sset: SphereSet, mesh: TriangleMesh, params: SphereParams,
@@ -180,16 +166,14 @@ def update_spheres(sset: SphereSet, mesh: TriangleMesh, params: SphereParams,
     Returns the number rebuilt.  Untouched spheres keep their snapshots.
     Curvature values are the ones frozen at initialization.
     """
-    changes = shape_changes_bulk(sset, mesh.vertices, mesh.triangles)
-    mask = changes > params.update_threshold_d
-    count = int(np.count_nonzero(mask))
-    if count == 0:
+    disp = max_displacements(sset, mesh.corners)
+    idx = np.flatnonzero(disp / sset.radii > params.update_threshold_d)
+    if idx.size == 0:
         return 0
-    idx = np.nonzero(mask)[0]
-    p = mesh.vertices[mesh.triangles[idx]]
+    p = mesh.corners.take(idx, axis=2)
     centers, radii, safety = _place_spheres(p, curvature[idx], params)
     sset.centers[idx] = centers
     sset.radii[idx] = radii
     sset.safety_angles[idx] = safety
-    sset.ref_vertices[idx] = p
-    return count
+    sset.ref_vertices[:, :, idx] = p
+    return int(idx.size)

@@ -1,11 +1,14 @@
-"""Scalar reference implementations that the library's bulk paths are
-checked against.  Nothing in ``softsphere`` imports this module.
+"""Reference implementations that the library's bulk paths are checked
+against.  Nothing in ``softsphere`` imports this module.
 
 The sphere references build one triangle at a time, with plain tuples:
 ``circumcenter`` for ``spheres._circumcenters_bulk`` and
 ``sphere_through_triangle`` for the placement in ``spheres._place_spheres``
-at a given radius.  The distance and collision references replay the
-solver's projections one row at a time.
+at a given radius.  The row-wise references compute the per-frame triangle
+geometry on (m, 3, 3) corner rows with ``np.cross``, ``einsum`` and axis
+reductions, as the library did before it gathered corners component-first;
+its column kernels must give the same bits.  The distance and collision
+references replay the solver's projections one row at a time.
 """
 
 import math
@@ -54,6 +57,68 @@ def sphere_through_triangle(a, b, c, radius: float
     r = max(float(radius), r_c)
     phi = math.sqrt(max(r * r - r_c * r_c, 0.0))
     return cc - phi * n, r, math.atan2(r_c, phi)
+
+
+def shape_changes_rows(ref_rows: np.ndarray, positions: np.ndarray,
+                       triangles: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Each triangle's largest corner displacement from its (m, 3, 3)
+    reference corners, over its built radius."""
+    disp = np.linalg.norm(positions[triangles] - ref_rows, axis=2)
+    return disp.max(axis=1) / radii
+
+
+def triangle_normals_rows(vertices: np.ndarray,
+                          triangles: np.ndarray) -> np.ndarray:
+    """Outward unit normals as (m, 3) rows; a zero normal stays zero."""
+    p = vertices[triangles]
+    n = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    length = np.linalg.norm(n, axis=1, keepdims=True)
+    return n / np.where(length < 1e-300, 1.0, length)
+
+
+def circumcenters_rows(p: np.ndarray):
+    """Circumcenters, circumradii and unit normals of (m, 3, 3) corner rows.
+
+    Raises ValueError on a triangle the sphere layer calls degenerate.
+    """
+    a, b, c = p[:, 0], p[:, 1], p[:, 2]
+    ab = b - a
+    ac = c - a
+    n = np.cross(ab, ac)
+    nn = np.einsum("ij,ij->i", n, n)
+    ab2 = np.einsum("ij,ij->i", ab, ab)
+    ac2 = np.einsum("ij,ij->i", ac, ac)
+    scale = np.maximum(ab2, ac2)
+    if np.any(nn * 2.0 <= 1e-24 * scale * scale):
+        raise ValueError("degenerate triangle")
+    centers = a + (ac2[:, None] * np.cross(n, ab)
+                   + ab2[:, None] * np.cross(ac, n)) / (2.0 * nn)[:, None]
+    radii = np.linalg.norm(centers - a, axis=1)
+    return centers, radii, n / np.sqrt(nn)[:, None]
+
+
+def min_bounding_spheres_rows(p: np.ndarray):
+    """Minimal enclosing sphere of each of (m, 3, 3) corner rows: the
+    circumsphere of an acute or right triangle, else the sphere on the
+    longest edge."""
+    a, b, c = p[:, 0], p[:, 1], p[:, 2]
+    e0, e1, e2 = c - b, a - c, b - a
+    l0 = np.einsum("ij,ij->i", e0, e0)
+    l1 = np.einsum("ij,ij->i", e1, e1)
+    l2 = np.einsum("ij,ij->i", e2, e2)
+    lmax = np.maximum(np.maximum(l0, l1), l2)
+    centers, radii, _ = circumcenters_rows(p)
+    for t in np.flatnonzero(lmax > (l0 + l1 + l2) - lmax):
+        facing = int(np.argmax([l0[t], l1[t], l2[t]]))
+        centers[t] = (p[t, (facing + 1) % 3] + p[t, (facing + 2) % 3]) * 0.5
+        radii[t] = 0.5 * np.sqrt(lmax[t])
+    return centers, radii
+
+
+def object_bounds_rows(vertices: np.ndarray) -> Tuple[np.ndarray, float]:
+    """Centroid and largest vertex distance from it."""
+    center = vertices.mean(axis=0)
+    return center, float(np.linalg.norm(vertices - center, axis=1).max())
 
 
 def project_distance(predicted: np.ndarray, inv_mass: np.ndarray, i: int,

@@ -394,7 +394,7 @@ def sphere_input(centers, radii, normals, safety=math.pi / 2):
     radii = np.broadcast_to(np.asarray(radii, dtype=float), (count,)).copy()
     sset = SphereSet(centers=centers.copy(), radii=radii,
                      safety_angles=np.full(count, float(safety)),
-                     ref_vertices=np.zeros((count, 3, 3)))
+                     ref_vertices=np.zeros((3, 3, count)))
     normals = np.broadcast_to(np.asarray(normals, dtype=float),
                               (count, 3)).copy()
     return NarrowInput(sphere_set=sset, normals=normals,
@@ -409,7 +409,7 @@ def triangle_input(tri, **params):
     sset = build_sphere_set(mesh, np.zeros(1),
                             SphereParams(k_threshold=1.0, **params))
     return NarrowInput(sphere_set=sset,
-                       normals=triangle_normals(mesh.vertices, mesh.triangles),
+                       normals=triangle_normals(mesh.corners),
                        triangles=mesh.triangles)
 
 
@@ -540,7 +540,7 @@ def _narrow_input(mesh, params=None):
     params = params or SphereParams.for_mesh(mesh)
     sset = build_sphere_set(mesh, compute_curvature(mesh), params)
     return NarrowInput(sphere_set=sset,
-                       normals=triangle_normals(mesh.vertices, mesh.triangles),
+                       normals=triangle_normals(mesh.corners),
                        triangles=mesh.triangles), params
 
 
@@ -828,14 +828,16 @@ def test_drop_vertex_sharing_filters_exactly_the_sharing_pairs():
 
 def test_min_bounding_spheres_acute_uses_circumsphere():
     pos = EQ_TRI_A
-    centers, radii = min_bounding_spheres(pos, np.array([[0, 1, 2]]))
+    centers, radii = min_bounding_spheres(
+        TriangleMesh(pos, [[0, 1, 2]]).corners)
     assert np.allclose(centers[0], [0.5, math.sqrt(3) / 6, 0.0], atol=1e-12)
     assert radii[0] == pytest.approx(1.0 / math.sqrt(3), rel=1e-12)
 
 
 def test_min_bounding_spheres_obtuse_uses_longest_edge():
     pos = np.array([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0], [0.2, 0.3, 0.0]])
-    centers, radii = min_bounding_spheres(pos, np.array([[0, 1, 2]]))
+    centers, radii = min_bounding_spheres(
+        TriangleMesh(pos, [[0, 1, 2]]).corners)
     assert np.allclose(centers[0], [2.0, 0.0, 0.0], atol=1e-12)
     assert radii[0] == pytest.approx(2.0, rel=1e-12)
 
@@ -844,7 +846,8 @@ def test_min_bounding_spheres_always_enclose_and_never_exceed_circumsphere():
     rng = np.random.default_rng(12)
     pos = np.concatenate([random_triangle(rng) for _ in range(200)])
     tris = np.arange(600).reshape(200, 3)
-    centers, radii = min_bounding_spheres(pos, tris)
+    centers, radii = min_bounding_spheres(
+        TriangleMesh(pos, tris).corners)
     p = pos[tris]
     d = np.linalg.norm(p - centers[:, None, :], axis=2)
     assert np.all(d <= radii[:, None] * (1 + 1e-9)), "corner escaped its sphere"
@@ -861,8 +864,9 @@ def test_baseline_flags_the_coplanar_neighbors_the_cone_rejects():
     is the spurious positive the cone filter exists to remove."""
     tri = np.array([[0, 1, 2]])
     contacts, raw = baseline_bounding_ball(
-        CandidatePair(0, 1), min_bounding_spheres(EQ_TRI_A, tri),
-        min_bounding_spheres(EQ_TRI_B, tri), tri)
+        CandidatePair(0, 1),
+        min_bounding_spheres(TriangleMesh(EQ_TRI_A, tri).corners),
+        min_bounding_spheres(TriangleMesh(EQ_TRI_B, tri).corners), tri)
     assert raw == 1 and len(contacts) == 1
 
 
@@ -872,7 +876,7 @@ def test_baseline_distant_and_interpenetrating():
     home = icosphere(1, 0.5)
 
     def spheres(mesh):
-        return min_bounding_spheres(mesh.vertices, mesh.triangles)
+        return min_bounding_spheres(mesh.corners)
 
     c0, r0 = baseline_bounding_ball(CandidatePair(0, 1), spheres(home),
                                     spheres(far), home.triangles)
@@ -963,8 +967,8 @@ def test_polygon_exact_contacts_end_to_end():
     def exact(a, b):
         return polygon_exact_contacts(
             CandidatePair(0, 1), a.vertices, a.triangles, b.vertices,
-            b.triangles, min_bounding_spheres(a.vertices, a.triangles),
-            min_bounding_spheres(b.vertices, b.triangles))
+            b.triangles, min_bounding_spheres(a.corners),
+            min_bounding_spheres(b.corners))
 
     c0, _ = exact(home, far)
     assert len(c0) == 0
@@ -974,8 +978,8 @@ def test_polygon_exact_contacts_end_to_end():
     keys = [(c.tri_a, c.tri_b) for c in c1]
     assert keys == sorted(keys)
     # each normal joins the two triangles' minimal bounding spheres
-    ca, _ = min_bounding_spheres(home.vertices, home.triangles)
-    cb, _ = min_bounding_spheres(near.vertices, near.triangles)
+    ca, _ = min_bounding_spheres(home.corners)
+    cb, _ = min_bounding_spheres(near.corners)
     joins = cb[c1.tri_b] - ca[c1.tri_a]
     assert np.allclose(c1.normal,
                        joins / np.linalg.norm(joins, axis=1)[:, None])

@@ -63,7 +63,7 @@ def test_mesh_wraps_arrays_as_float64_int64():
     assert mesh.triangles.dtype == np.int64
     assert mesh.num_vertices == 3
     assert mesh.num_triangles == 1
-    assert mesh.triangle_points().shape == (1, 3, 3)
+    assert mesh.corners.shape == (3, 3, 1)
 
 
 def test_mesh_rejects_out_of_range_indices():
@@ -146,7 +146,7 @@ def test_icosphere_vertices_on_sphere_and_normals_outward():
     mesh = icosphere(3, radius=0.5, center=(1.0, 2.0, 3.0))
     d = np.linalg.norm(mesh.vertices - np.array([1.0, 2.0, 3.0]), axis=1)
     assert np.allclose(d, 0.5, atol=1e-12)
-    normals = triangle_normals(mesh.vertices, mesh.triangles)
+    normals = triangle_normals(mesh.corners)
     centroids = mesh.vertices[mesh.triangles].mean(axis=1)
     outward = np.einsum("ij,ij->i", normals,
                         centroids - np.array([1.0, 2.0, 3.0]))
@@ -158,7 +158,7 @@ def test_cloth_grid_counts_and_plane():
     assert mesh.num_vertices == 400
     assert mesh.num_triangles == 2 * 19 ** 2  # = 722
     assert np.allclose(mesh.vertices[:, 1], 0.0)
-    normals = triangle_normals(mesh.vertices, mesh.triangles)
+    normals = triangle_normals(mesh.corners)
     assert np.allclose(normals, [0.0, 1.0, 0.0], atol=1e-12)
 
 

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import softsphere.harness as harness
 from oracles import sweep_collisions, sweep_distances
@@ -157,6 +158,34 @@ def test_predict_leaves_pinned_particles_alone():
     state.velocities[0] = [100.0, 0.0, 0.0]
     predict(state, SolverConfig(dt=0.1, gravity=np.array([0.0, -10.0, 0.0])))
     assert np.array_equal(state.predicted[0], [5.0, 5.0, 5.0])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 40), st.floats(1e-4, 0.1),
+       arrays(np.float64, 3, elements=st.floats(-20.0, 20.0)), st.data())
+def test_predict_is_exact_per_particle(n, dt, gravity, data):
+    """A mix of pinned and free particles with arbitrary positions and
+    velocities: every pinned particle keeps its position bit for bit, and
+    every free one lands on x + (v dt + dt^2 g) bit for bit, the sum taken
+    in that order for that particle alone."""
+    rows = arrays(np.float64, (n, 3), elements=st.floats(-1e3, 1e3))
+    inv_mass = data.draw(arrays(np.float64, n,
+                                elements=st.sampled_from((0.0, 0.5, 3.0))))
+    state = ParticleState.rest(data.draw(rows), inv_mass)
+    state.velocities[:] = data.draw(rows)
+    state.predicted[:] = np.nan
+    positions = state.positions.copy()
+    velocities = state.velocities.copy()
+    predict(state, SolverConfig(dt=dt, gravity=gravity))
+    for k in range(n):
+        if inv_mass[k] == 0.0:
+            expected = positions[k]
+        else:
+            expected = positions[k] + (velocities[k] * dt
+                                       + (dt * dt) * gravity)
+        assert np.array_equal(state.predicted[k], expected), k
+    assert np.array_equal(state.positions, positions)
+    assert np.array_equal(state.velocities, velocities)
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 from softsphere.mesh import (MeshError, TriangleMesh, cloth_grid,
-                             compute_curvature, icosphere)
+                             compute_curvature, dot, icosphere)
 from softsphere.spheres import (SphereParams, _circumcenters_bulk,
                                 _place_spheres, _radius_law_bulk,
-                                build_sphere_set, shape_changes_bulk,
+                                build_sphere_set, max_displacements,
                                 update_spheres)
 
 from oracles import circumcenter, sphere_through_triangle
@@ -49,15 +49,38 @@ def random_triangle(rng, min_area=1e-3):
             return p
 
 
+def columns(tris):
+    """(m, 3, 3) corner rows as the component-first (3, 3, m) layout of
+    ``TriangleMesh.corners``."""
+    return np.asarray(tris, dtype=float).transpose(2, 1, 0)
+
+
+def circumcenters(tris):
+    """``_circumcenters_bulk`` on (m, 3, 3) corner rows: centers, radii and
+    unit normals, centers and normals as (m, 3) rows."""
+    p = columns(tris)
+    a = p[:, 0]
+    ab, ac = p[:, 1] - a, p[:, 2] - a
+    centers, radii, n, nn = _circumcenters_bulk(a, ab, ac, dot(ab, ab),
+                                                dot(ac, ac))
+    return centers.T, radii, (n / np.sqrt(nn)).T
+
+
 def place(tris, curvature=0.0, **params):
-    """``_place_spheres`` on (m, 3, 3) corners under
+    """``_place_spheres`` on (m, 3, 3) corner rows under
     ``SphereParams(k_threshold=1.0, **params)``: centers, radii, safety
     angles."""
-    tris = np.asarray(tris, dtype=float)
     curvature = np.broadcast_to(np.asarray(curvature, dtype=float),
                                 (len(tris),))
-    return _place_spheres(tris, curvature,
+    return _place_spheres(columns(tris), curvature,
                           SphereParams(k_threshold=1.0, **params))
+
+
+def shape_changes(sset, positions, triangles):
+    """The lazy-update gate's measure: each triangle's largest corner
+    displacement since its build, over its built radius."""
+    corners = TriangleMesh(positions, triangles).corners
+    return max_displacements(sset, corners) / sset.radii
 
 
 def radius_law(r_c, K, params):
@@ -83,7 +106,7 @@ EQUILATERAL = np.array([[0.0, 0.0, 0.0],
 def test_circumcenter_equilateral():
     """Unit equilateral triangle: center at the centroid, radius 1/sqrt(3),
     outward normal +z for the counter-clockwise corners."""
-    centers, radii, normals = _circumcenters_bulk(EQUILATERAL[None])
+    centers, radii, normals = circumcenters(EQUILATERAL[None])
     assert np.allclose(centers[0], [0.5, math.sqrt(3) / 6, 0.0], atol=1e-12)
     assert radii[0] == pytest.approx(1.0 / math.sqrt(3), rel=1e-12)
     assert np.allclose(normals[0], [0.0, 0.0, 1.0], atol=1e-15)
@@ -92,7 +115,7 @@ def test_circumcenter_equilateral():
 
 def test_circumcenter_right_triangle_is_hypotenuse_midpoint():
     tri = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
-    centers, radii, _ = _circumcenters_bulk(tri[None])
+    centers, radii, _ = circumcenters(tri[None])
     assert np.allclose(centers[0], [1.0, 1.0, 0.0], atol=1e-12)
     assert radii[0] == pytest.approx(math.sqrt(2), rel=1e-12)
     assert_circumcenter_properties(centers[0], radii[0], *tri)
@@ -104,7 +127,7 @@ def test_circumcenter_random_triangles_satisfy_equidistance():
     plane, and the normal is the unit right-handed normal of the corners."""
     rng = np.random.default_rng(42)
     tris = np.stack([random_triangle(rng) for _ in range(200)])
-    centers, radii, normals = _circumcenters_bulk(tris)
+    centers, radii, normals = circumcenters(tris)
     for tri, center, radius, normal in zip(tris, centers, radii, normals):
         assert_circumcenter_properties(center, radius, *tri, rel=1e-9)
         n = np.cross(tri[1] - tri[0], tri[2] - tri[0])
@@ -118,9 +141,9 @@ def test_circumcenter_collinear_raises():
     collinear = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
     coincident = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     with pytest.raises(MeshError, match="degenerate triangle 1 "):
-        _circumcenters_bulk(np.stack([good, collinear, good]))
+        circumcenters(np.stack([good, collinear, good]))
     with pytest.raises(MeshError, match="degenerate triangle 0 "):
-        _circumcenters_bulk(np.stack([coincident, good]))
+        circumcenters(np.stack([coincident, good]))
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +275,7 @@ def test_sphere_radius_below_circumradius_is_clamped_up():
     K = np.concatenate([K, -K])
     centers, radii, safety = place(np.repeat(EQUILATERAL[None], len(K), 0),
                                    curvature=K)
-    _, r_c, _ = _circumcenters_bulk(EQUILATERAL[None])
+    _, r_c, _ = circumcenters(EQUILATERAL[None])
     assert np.all(radii == r_c[0])
     assert np.all(safety == math.pi / 2)
 
@@ -334,7 +357,7 @@ def test_build_sphere_set_matches_scalar_path():
                       np.linspace(-3.0 * kt, 3.0 * kt, mesh.num_triangles)):
         sset = build_sphere_set(mesh, curvature, params)
         assert len(sset) == mesh.num_triangles
-        for tri, pts in enumerate(mesh.triangle_points()):
+        for tri, pts in enumerate(mesh.vertices[mesh.triangles]):
             _, r_c = circumcenter(*pts)
             r = radius_law(r_c, float(curvature[tri]), params)
             center, radius, safety = sphere_through_triangle(*pts, r)
@@ -348,7 +371,7 @@ def test_build_sphere_set_incidence_everywhere():
     mesh = icosphere(2, radius=1.0)
     sset = build_sphere_set(mesh, compute_curvature(mesh),
                             SphereParams.for_mesh(mesh))
-    pts = mesh.triangle_points()
+    pts = mesh.vertices[mesh.triangles]
     dist = np.linalg.norm(pts - sset.centers[:, None, :], axis=2)
     err = np.abs(dist - sset.radii[:, None])
     assert np.all(err <= 1e-6 * sset.radii[:, None])
@@ -379,7 +402,7 @@ def _flat_set(n=4, spacing=0.2):
 
 def test_shape_change_zero_when_unmoved():
     mesh, _, sset = _flat_set()
-    assert np.all(shape_changes_bulk(sset, mesh.vertices, mesh.triangles) == 0.0)
+    assert np.all(shape_changes(sset, mesh.vertices, mesh.triangles) == 0.0)
 
 
 def test_shape_change_is_displacement_over_built_radius():
@@ -389,12 +412,12 @@ def test_shape_change_is_displacement_over_built_radius():
     r = float(sset.radii[0])
     moved = mesh.vertices.copy()
     moved[mesh.triangles[0][1]] += np.array([0.0, r, 0.0])
-    change = shape_changes_bulk(sset, moved, mesh.triangles)
+    change = shape_changes(sset, moved, mesh.triangles)
     assert change[0] == pytest.approx(1.0, rel=1e-12)
 
     moved2 = mesh.vertices.copy()
     moved2[mesh.triangles[0][2]] += np.array([0.35 * r, 0.0, 0.0])
-    change = shape_changes_bulk(sset, moved2, mesh.triangles)
+    change = shape_changes(sset, moved2, mesh.triangles)
     assert change[0] == pytest.approx(0.35, rel=1e-12)
 
 
@@ -420,7 +443,7 @@ def test_update_threshold_gates_on_strict_excess():
     lazy = SphereParams(k_threshold=1.0, update_threshold_d=0.7)
     assert update_spheres(sset, moved, lazy, curvature) == 0
 
-    observed = float(shape_changes_bulk(sset, moved.vertices,
+    observed = float(shape_changes(sset, moved.vertices,
                                         moved.triangles).max())
     at_edge = SphereParams(k_threshold=1.0, update_threshold_d=observed)
     assert update_spheres(sset, moved, at_edge, curvature) == 0
@@ -428,7 +451,7 @@ def test_update_threshold_gates_on_strict_excess():
     eager = SphereParams(k_threshold=1.0, update_threshold_d=0.0)
     n = update_spheres(sset, moved, eager, curvature)
     assert n == len(sset)
-    assert np.array_equal(sset.ref_vertices, moved.triangle_points())
+    assert np.array_equal(sset.ref_vertices, moved.corners)
 
 
 def test_update_rebuild_is_idempotent():
@@ -445,7 +468,7 @@ def test_update_rebuild_is_idempotent():
     second = update_spheres(sset, moved, eager, curvature)
     assert second == 0
     assert np.array_equal(sset.ref_vertices, rebuilt_refs)
-    assert np.array_equal(rebuilt_refs, moved.triangle_points())
+    assert np.array_equal(rebuilt_refs, moved.corners)
 
 
 def test_update_touches_only_spheres_past_the_gate():
@@ -464,10 +487,11 @@ def test_update_touches_only_spheres_past_the_gate():
 
     touches_v0 = np.any(mesh.triangles == 0, axis=1)
     assert n == int(np.count_nonzero(touches_v0))
-    assert np.array_equal(sset.ref_vertices[touches_v0],
-                          moved.triangle_points()[touches_v0])
+    assert np.array_equal(sset.ref_vertices[:, :, touches_v0],
+                          moved.corners[:, :, touches_v0])
     assert np.array_equal(sset.centers[~touches_v0], before_centers[~touches_v0])
-    assert np.array_equal(sset.ref_vertices[~touches_v0], before_refs[~touches_v0])
+    assert np.array_equal(sset.ref_vertices[:, :, ~touches_v0],
+                          before_refs[:, :, ~touches_v0])
     # rebuilt spheres are incident to the *new* positions
     pts = moved.vertices[moved.triangles[touches_v0]]
     dist = np.linalg.norm(pts - sset.centers[touches_v0][:, None, :], axis=2)
