@@ -90,7 +90,8 @@ def soup(rows: np.ndarray) -> TriangleMesh:
                         np.arange(3 * len(rows)).reshape(-1, 3))
 
 
-def columns(rows: np.ndarray) -> np.ndarray:
+def gather(rows: np.ndarray) -> np.ndarray:
+    """The triangles' corners through ``TriangleMesh.corners``."""
     return soup(rows).corners
 
 
@@ -124,7 +125,7 @@ def test_circumcenters_match_rows(rows):
 @settings(max_examples=60, deadline=None)
 @given(triangles())
 def test_min_bounding_spheres_match_rows(rows):
-    centers, radii = min_bounding_spheres(columns(rows))
+    centers, radii = min_bounding_spheres(gather(rows))
     ref_centers, ref_radii = min_bounding_spheres_rows(rows)
     assert np.array_equal(centers, ref_centers)
     assert np.array_equal(radii, ref_radii)
@@ -190,7 +191,7 @@ def test_degenerate_triangles_still_raise():
     with pytest.raises(MeshError, match="degenerate triangle 1 "):
         circumcenters(np.stack([good, collinear]))
     with pytest.raises(MeshError, match="degenerate triangle 0 "):
-        min_bounding_spheres(columns(np.stack([collinear, good])))
+        min_bounding_spheres(gather(np.stack([collinear, good])))
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +205,12 @@ def test_sphere_radii_survive_translation(rows):
     """Circumspheres and minimal spheres keep their radii, and their centres
     move with the triangles, to 1e-7 of the triangle's size."""
     circ = circumcenters(rows)
-    tight = min_bounding_spheres(columns(rows))
+    tight = min_bounding_spheres(gather(rows))
     size = np.ptp(rows, axis=1).max(axis=1)
     for offset in OFFSETS:
         moved = moved_along_diagonal(rows, offset)
         circ_t = circumcenters(moved)
-        tight_t = min_bounding_spheres(columns(moved))
+        tight_t = min_bounding_spheres(gather(moved))
         assert np.all(np.abs(circ_t[1] - circ[1]) <= 1e-7 * size)
         assert np.all(np.abs(circ_t[0] - offset - circ[0])
                       <= 1e-7 * size[:, None])
