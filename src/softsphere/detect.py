@@ -23,10 +23,11 @@ with every pair test in float64.  Only the plane-side filter of
 common bounding-box centre and with a conservative margin; the
 separating-axis test confirms its survivors in float64.
 
-Every detector returns its contacts as one record array of
-``CONTACT_DTYPE`` rows (object and triangle indices plus the unit
-center-to-center normal from side a to side b), sorted by (tri_a, tri_b)
-within a candidate pair.
+Every candidate pair joins two distinct objects: a body collides with
+other bodies only, never with itself.  Every detector returns its contacts
+as one record array of ``CONTACT_DTYPE`` rows (object and triangle indices
+plus the unit center-to-center normal from side a to side b), sorted by
+(tri_a, tri_b) within a candidate pair.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class BoundingSphere:
 
 @dataclass
 class CandidatePair:
-    """Objects whose bounding spheres overlap (a == b marks self-collision)."""
+    """Two distinct objects whose bounding spheres overlap."""
 
     object_a: int
     object_b: int
@@ -67,7 +68,8 @@ class NarrowInput:
 
     sphere_set: SphereSet
     normals: np.ndarray      # current outward unit triangle normals
-    triangles: np.ndarray    # (m, 3) vertex indices, used for self-pair exclusion
+    triangles: np.ndarray    # (m, 3) vertex indices; the benchmark's
+    #                          narrow-phase oracle reads them
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +143,8 @@ def _meets_box(lows, highs, box) -> np.ndarray:
 
 
 def _overlap_candidates(centers_a: np.ndarray, radii_a: np.ndarray,
-                        centers_b: np.ndarray, radii_b: np.ndarray,
-                        same_object: bool) -> Tuple[np.ndarray, np.ndarray]:
+                        centers_b: np.ndarray, radii_b: np.ndarray
+                        ) -> Tuple[np.ndarray, np.ndarray]:
     """Index pairs with |c_a - c_b| < r_a + r_b (strict, float64).
 
     A cull, then a uniform grid (Teschner et al., *Optimized Spatial
@@ -161,8 +163,6 @@ def _overlap_candidates(centers_a: np.ndarray, radii_a: np.ndarray,
       starts gives every side-a sphere its 9 neighbour-column ranges.
     * Pair test: float64 on center differences, so scenes far from the
       origin lose no pairs, in blocks of about ``_OVERLAP_BLOCK_PAIRS``.
-
-    For ``same_object`` only pairs with i < j are produced.
     """
     if len(centers_a) == 0 or len(centers_b) == 0:
         return _EMPTY_PAIRS
@@ -231,25 +231,7 @@ def _overlap_candidates(centers_a: np.ndarray, radii_a: np.ndarray,
             out_j.append(ib[j[hit]])
     if not out_i:
         return _EMPTY_PAIRS
-    ia, ib = np.concatenate(out_i), np.concatenate(out_j)
-    if same_object:
-        keep = ia < ib
-        ia, ib = ia[keep], ib[keep]
-    return ia, ib
-
-
-def _drop_vertex_sharing(ia: np.ndarray, ib: np.ndarray,
-                         tris: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Self-collision exclusion: drop pairs sharing at least one vertex."""
-    if ia.size == 0:
-        return ia, ib
-    ta = tris[ia]  # (k, 3)
-    tb = tris[ib]
-    shared = np.zeros(len(ia), dtype=bool)
-    for p in range(3):
-        for q in range(3):
-            shared |= ta[:, p] == tb[:, q]
-    return ia[~shared], ib[~shared]
+    return np.concatenate(out_i), np.concatenate(out_j)
 
 
 def _center_dirs(ia: np.ndarray, ib: np.ndarray,
@@ -296,16 +278,12 @@ def narrow_phase(pair: CandidatePair, objects: Sequence[NarrowInput],
                  ) -> Tuple[np.recarray, int]:
     """Validated contacts for one candidate pair, plus the raw overlap count.
 
-    Self-collision pairs (object_a == object_b) exclude triangle pairs that
-    share a vertex.  Contacts come out sorted by (tri_a, tri_b).
+    Contacts come out sorted by (tri_a, tri_b).
     """
     a = objects[pair.object_a]
     b = objects[pair.object_b]
-    same = pair.object_a == pair.object_b
     sa, sb = a.sphere_set, b.sphere_set
-    ia, ib = _overlap_candidates(sa.centers, sa.radii, sb.centers, sb.radii, same)
-    if same:
-        ia, ib = _drop_vertex_sharing(ia, ib, a.triangles)
+    ia, ib = _overlap_candidates(sa.centers, sa.radii, sb.centers, sb.radii)
     # cone validation, vectorized over candidates; the directions it tests
     # are the contact normals
     dirs = _center_dirs(ia, ib, sa.centers, sb.centers, a.normals)
@@ -353,20 +331,16 @@ def min_bounding_spheres(corners: np.ndarray
 
 def baseline_bounding_ball(pair: CandidatePair,
                            spheres_a: Tuple[np.ndarray, np.ndarray],
-                           spheres_b: Tuple[np.ndarray, np.ndarray],
-                           triangles_a: np.ndarray) -> Tuple[np.recarray, int]:
+                           spheres_b: Tuple[np.ndarray, np.ndarray]
+                           ) -> Tuple[np.recarray, int]:
     """Overlap of per-triangle minimal bounding spheres, no cone filter.
 
     ``spheres_a``/``spheres_b`` are the (centers, radii) that
-    ``min_bounding_spheres`` gives each object; ``triangles_a`` drives the
-    vertex-sharing exclusion of a self pair.  Every sphere overlap is a
+    ``min_bounding_spheres`` gives each object.  Every sphere overlap is a
     contact, so the raw count equals the emitted count.
     """
     (ca, ra), (cb, rb) = spheres_a, spheres_b
-    same = pair.object_a == pair.object_b
-    ia, ib = _overlap_candidates(ca, ra, cb, rb, same)
-    if same:
-        ia, ib = _drop_vertex_sharing(ia, ib, triangles_a)
+    ia, ib = _overlap_candidates(ca, ra, cb, rb)
     contacts = _contacts(ia, ib, _center_dirs(ia, ib, ca, cb, None),
                          pair.object_a, pair.object_b)
     return contacts, int(ia.size)
@@ -525,12 +499,7 @@ def polygon_exact_contacts(pair: CandidatePair,
     """
     pts_a = positions_a[triangles_a]
     pts_b = positions_b[triangles_b]
-    same = pair.object_a == pair.object_b
     ia, ib = plane_side_survivors(pts_a, pts_b)
-    if same and ia.size:
-        keep = ia < ib
-        ia, ib = ia[keep], ib[keep]
-        ia, ib = _drop_vertex_sharing(ia, ib, triangles_a)
     raw = int(ia.size)
     hits = exact_tri_tri(pts_a[ia], pts_b[ib])
     ia, ib = ia[hits], ib[hits]

@@ -18,7 +18,8 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, List, Optional, Sequence, Tuple, Union,
+                    get_type_hints)
 
 import numpy as np
 
@@ -27,21 +28,17 @@ from .detect import (CandidatePair, NarrowInput, baseline_bounding_ball,
                      narrow_phase, object_bounding_sphere,
                      polygon_exact_contacts)
 from .mesh import TriangleMesh, compute_curvature, triangle_normals
-from .pbd import (COLLISION_DTYPE, SolverConfig, SolverInstabilityError,
-                  predict, solve_step)
+from .pbd import COLLISION_DTYPE, SolverConfig, predict, solve_step
 from .scenes import SceneConfig, World, generate_scene
 from .spheres import SphereParams, build_sphere_set, update_spheres
-
-CSV_FIELDS = ("frame", "detect_time_s", "solve_time_s", "rebuild_count",
-              "raw_contacts", "validated_contacts", "stability_m",
-              "tunneled_vertices", "solver_residual")
-DET_FIELDS = tuple(f for f in CSV_FIELDS if not f.endswith("_time_s"))
 
 FrameHook = Callable[[int, World, "FrameMetrics", Optional[np.ndarray]], None]
 
 
 @dataclass
 class FrameMetrics:
+    """One CSV row per frame, its columns in field order."""
+
     frame: int
     detect_time_s: float
     solve_time_s: float
@@ -53,17 +50,17 @@ class FrameMetrics:
     solver_residual: float  # largest |C| of the frame's last solver sweep
 
     def row(self) -> Dict[str, str]:
-        return {
-            "frame": str(self.frame),
-            "detect_time_s": f"{self.detect_time_s:.6f}",
-            "solve_time_s": f"{self.solve_time_s:.6f}",
-            "rebuild_count": str(self.rebuild_count),
-            "raw_contacts": str(self.raw_contacts),
-            "validated_contacts": str(self.validated_contacts),
-            "stability_m": f"{self.stability_m:.12g}",
-            "tunneled_vertices": str(self.tunneled_vertices),
-            "solver_residual": f"{self.solver_residual:.12g}",
-        }
+        return {name: fmt(getattr(self, name))
+                for name, fmt in _FORMATS.items()}
+
+
+# wall times to the microsecond, other floats to 12 significant digits
+_FORMATS: Dict[str, Callable[[object], str]] = {
+    name: ("{:.6f}".format if name.endswith("_time_s")
+           else "{:.12g}".format if kind is float else str)
+    for name, kind in get_type_hints(FrameMetrics).items()}
+CSV_FIELDS = tuple(_FORMATS)
+DET_FIELDS = tuple(f for f in CSV_FIELDS if not f.endswith("_time_s"))
 
 
 @dataclass
@@ -150,18 +147,12 @@ def tunneled_count(world: World) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _gather(pairs: Sequence[CandidatePair],
-            find: Callable[[CandidatePair], Tuple[np.recarray, int]]
-            ) -> Tuple[np.recarray, int]:
-    """Run a per-pair detector; merge its contacts and sum its raw counts."""
-    found = [find(pair) for pair in pairs]
-    return (merge_contacts([contacts for contacts, _ in found]),
-            sum(raw for _, raw in found))
-
-
-# Each method keeps ``spheres``: per object, the (centers, radii) of every
-# triangle's sphere as of the last ``detect``.  ``_collision_constraints``
-# reads the contacted triangles' spheres from it.
+# A method's ``detect(meshes, pairs)`` returns each pair's (contacts, raw
+# overlap count), the frame's sphere rebuild count, and per object the
+# (centers, radii) of every triangle's sphere, from which
+# ``_collision_constraints`` reads the contacted triangles' spheres.
+Spheres = List[Tuple[np.ndarray, np.ndarray]]
+Detection = Tuple[List[Tuple[np.recarray, int]], int, Spheres]
 
 
 class _CircumsphereMethod:
@@ -181,13 +172,10 @@ class _CircumsphereMethod:
             self.params.append(params)
             self.curvature.append(curv)
             self.sets.append(build_sphere_set(obj.rest_mesh, curv, params))
-        # update_spheres rebuilds in place, so these views stay current
-        self.spheres = [(s.centers, s.radii) for s in self.sets]
         self.two_sided = config.two_sided
 
-    def detect(self, frame: int, meshes: Sequence[TriangleMesh],
-               pairs: Sequence[CandidatePair]
-               ) -> Tuple[np.recarray, int, int]:
+    def detect(self, meshes: Sequence[TriangleMesh],
+               pairs: Sequence[CandidatePair]) -> Detection:
         rebuilds = 0
         for i, mesh in enumerate(meshes):
             rebuilds += update_spheres(self.sets[i], mesh, self.params[i],
@@ -195,56 +183,41 @@ class _CircumsphereMethod:
         inputs = [NarrowInput(self.sets[i], triangle_normals(mesh.corners),
                               mesh.triangles)
                   for i, mesh in enumerate(meshes)]
-        contacts, raw = _gather(pairs, lambda pair: narrow_phase(
-            pair, inputs, self.params[pair.object_a],
-            two_sided=self.two_sided))
-        return contacts, raw, rebuilds
+        found = [narrow_phase(pair, inputs, self.params[pair.object_a],
+                              two_sided=self.two_sided) for pair in pairs]
+        return found, rebuilds, [(s.centers, s.radii) for s in self.sets]
 
 
-class _BoundingBallMethod:
+def _bounding_ball(meshes: Sequence[TriangleMesh],
+                   pairs: Sequence[CandidatePair]) -> Detection:
     """Per-triangle minimal bounding spheres, rebuilt from scratch per frame."""
-
-    def __init__(self, world: World, config: SceneConfig) -> None:
-        self.spheres: List[Tuple[np.ndarray, np.ndarray]] = []
-
-    def detect(self, frame: int, meshes: Sequence[TriangleMesh],
-               pairs: Sequence[CandidatePair]
-               ) -> Tuple[np.recarray, int, int]:
-        self.spheres = [min_bounding_spheres(m.corners) for m in meshes]
-        rebuilds = sum(m.num_triangles for m in meshes)
-        contacts, raw = _gather(pairs, lambda pair: baseline_bounding_ball(
-            pair, self.spheres[pair.object_a], self.spheres[pair.object_b],
-            meshes[pair.object_a].triangles))
-        return contacts, raw, rebuilds
+    spheres = [min_bounding_spheres(m.corners) for m in meshes]
+    found = [baseline_bounding_ball(pair, spheres[pair.object_a],
+                                    spheres[pair.object_b]) for pair in pairs]
+    return found, sum(m.num_triangles for m in meshes), spheres
 
 
-class _PolygonExactMethod:
+def _polygon_exact(meshes: Sequence[TriangleMesh],
+                   pairs: Sequence[CandidatePair]) -> Detection:
     """Exact triangle-triangle intersection tests behind a plane prefilter;
     contacts carry the triangles' minimal bounding spheres."""
-
-    def __init__(self, world: World, config: SceneConfig) -> None:
-        self.spheres: List[Tuple[np.ndarray, np.ndarray]] = []
-
-    def detect(self, frame: int, meshes: Sequence[TriangleMesh],
-               pairs: Sequence[CandidatePair]
-               ) -> Tuple[np.recarray, int, int]:
-        self.spheres = [min_bounding_spheres(m.corners) for m in meshes]
-
-        def find(pair):
-            ma = meshes[pair.object_a]
-            mb = meshes[pair.object_b]
-            return polygon_exact_contacts(
-                pair, ma.vertices, ma.triangles, mb.vertices, mb.triangles,
-                self.spheres[pair.object_a], self.spheres[pair.object_b])
-        contacts, raw = _gather(pairs, find)
-        return contacts, raw, 0
+    spheres = [min_bounding_spheres(m.corners) for m in meshes]
+    found = []
+    for pair in pairs:
+        ma, mb = meshes[pair.object_a], meshes[pair.object_b]
+        found.append(polygon_exact_contacts(
+            pair, ma.vertices, ma.triangles, mb.vertices, mb.triangles,
+            spheres[pair.object_a], spheres[pair.object_b]))
+    return found, 0, spheres
 
 
-_METHOD_CLASSES = {
-    "circumsphere": _CircumsphereMethod,
-    "bounding-ball": _BoundingBallMethod,
-    "polygon-exact": _PolygonExactMethod,
-}
+def _detector(world: World, config: SceneConfig
+              ) -> Callable[[Sequence[TriangleMesh], Sequence[CandidatePair]],
+                            Detection]:
+    """The configured method's ``detect``."""
+    if config.method == "circumsphere":
+        return _CircumsphereMethod(world, config).detect
+    return _bounding_ball if config.method == "bounding-ball" else _polygon_exact
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +229,12 @@ _SIDES = (("obj_a", "tri_a"), ("obj_b", "tri_b"))
 
 
 def _collision_constraints(contacts: np.recarray, world: World,
-                           spheres: Sequence[Tuple[np.ndarray, np.ndarray]],
-                           predicted: np.ndarray) -> np.ndarray:
+                           spheres: Spheres, predicted: np.ndarray
+                           ) -> np.ndarray:
     """Turn validated contacts into solver rows (``COLLISION_DTYPE``).
 
     ``spheres`` holds each object's per-triangle (centers, radii), as the
-    detection method keeps them.  Sphere centers are captured as offsets
+    detection method returns them.  Sphere centers are captured as offsets
     from the triangle centroids of the predicted positions, so the spheres
     ride along while the solver moves the particles.
     """
@@ -347,8 +320,7 @@ def run_scene(config: SceneConfig,
                               gravity=config.gravity,
                               stiffness=config.stiffness,
                               damping=config.damping)
-    method = _METHOD_CLASSES[config.method](world, config)
-    deformable = [o for o in world.objects if o.deformable]
+    detect = _detector(world, config)
     reporter = _Reporter(out_path if out_path is not None else config.output)
     metrics: List[FrameMetrics] = []
     prev_positions = state.positions.copy()
@@ -363,14 +335,12 @@ def run_scene(config: SceneConfig,
             pairs = [p for p in broad_phase(bounds)
                      if not (world.objects[p.object_a].static
                              and world.objects[p.object_b].static)]
-            if config.self_collision:
-                pairs.extend(CandidatePair(o.index, o.index)
-                             for o in deformable)
-            contacts, raw, rebuilds = method.detect(frame, meshes, pairs)
+            found, rebuilds, spheres = detect(meshes, pairs)
+            contacts = merge_contacts([c for c, _ in found])
+            raw = sum(r for _, r in found)
             detect_time = perf_counter() - t0
             del meshes  # and their corner gathers, before the solve
-            constraints = _collision_constraints(contacts, world,
-                                                 method.spheres,
+            constraints = _collision_constraints(contacts, world, spheres,
                                                  state.predicted)
             t1 = perf_counter()
             trace = solve_step(state, world.distance_constraints,

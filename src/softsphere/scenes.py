@@ -96,7 +96,6 @@ class SceneConfig:
     seed: int = 0
     damping: float = 0.99
     stiffness: float = 1.0
-    self_collision: bool = False
     output: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -332,8 +331,7 @@ def _distance_constraints(objects: Sequence[SceneObject],
 
 _SCENE_KEYS = {"name", "dt", "frames", "iterations", "gravity", "method",
                "update_threshold", "cone_tolerance_deg", "two_sided",
-               "flat_scale", "seed", "damping", "stiffness", "self_collision",
-               "output"}
+               "flat_scale", "seed", "damping", "stiffness", "output"}
 _OBJECT_KEYS = {"generator", "n", "spacing", "subdivision", "radius", "size",
                 "resolution", "center", "mesh", "mass", "pinned", "velocity",
                 "jitter", "flip_normals", "check"}
@@ -397,9 +395,9 @@ def parse_scene_file(path: Union[str, Path]) -> SceneConfig:
         kwargs["gravity"] = _parse_vec3(sec["gravity"], f"{where} gravity")
     if "method" in sec:
         kwargs["method"] = sec["method"].strip()
-    for key in ("two_sided", "self_collision"):
-        if key in sec:
-            kwargs[key] = _parse_bool(sec[key], f"{where} {key}")
+    if "two_sided" in sec:
+        kwargs["two_sided"] = _parse_bool(sec["two_sided"],
+                                          f"{where} two_sided")
     if "output" in sec:
         kwargs["output"] = sec["output"].strip()
 

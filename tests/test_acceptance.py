@@ -170,7 +170,7 @@ def test_criterion_5_coplanar_neighbor_rejection():
     ball_contacts, ball_raw = baseline_bounding_ball(
         CandidatePair(0, 1),
         min_bounding_spheres(TriangleMesh(EQ_TRI_A, tri).corners),
-        min_bounding_spheres(TriangleMesh(EQ_TRI_B, tri).corners), tri)
+        min_bounding_spheres(TriangleMesh(EQ_TRI_B, tri).corners))
     spurious = ball_raw == 1 and len(ball_contacts) == 1
     ok = deep and rejected and spurious
     verdict(5, "coplanar neighbor rejection", ok,

@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 from softsphere import detect
 from softsphere.detect import (BoundingSphere, CandidatePair, NarrowInput,
-                               _drop_vertex_sharing, _overlap_candidates,
-                               baseline_bounding_ball, broad_phase,
+                               _overlap_candidates, baseline_bounding_ball,
+                               broad_phase,
                                exact_tri_tri, min_bounding_spheres,
                                narrow_phase, object_bounding_sphere,
                                plane_side_survivors, polygon_exact_contacts)
@@ -566,23 +566,17 @@ def test_narrow_phase_close_spheres_touch_near_the_gap():
         assert c.normal @ np.array([1.0, 0.0, 0.0]) > 0.5, "normal points a to b"
 
 
-def test_narrow_phase_flat_sheet_self_pair_is_fully_filtered():
-    """A flat cloth against itself: neighboring circumspheres overlap, but
-    every overlap direction is in-plane, so validation empties the list."""
-    sheet, params = _narrow_input(cloth_grid(10, 0.1))
-    contacts, raw = narrow_phase(CandidatePair(0, 0), [sheet], params)
+def test_narrow_phase_coplanar_sheets_are_fully_filtered():
+    """Two flat cloths side by side in one plane, sharing a border:
+    circumspheres across the border overlap, but every overlap direction is
+    in-plane, so validation empties the list."""
+    left = cloth_grid(10, 0.1)
+    right = cloth_grid(10, 0.1, center=(0.9, 0.0, 0.0))
+    a, params = _narrow_input(left)
+    b, _ = _narrow_input(right)
+    contacts, raw = narrow_phase(CandidatePair(0, 1), [a, b], params)
     assert len(contacts) == 0
     assert raw > 0, "the raw sphere overlaps must exist for the test to bite"
-
-
-def test_narrow_phase_self_pair_skips_vertex_sharing_triangles():
-    sheet, params = _narrow_input(cloth_grid(4, 0.1))
-    tris = sheet.triangles
-    contacts, _ = narrow_phase(CandidatePair(0, 0), [sheet], params,
-                               two_sided=False)
-    for c in contacts:
-        shared = set(tris[c.tri_a]) & set(tris[c.tri_b])
-        assert not shared, f"{c.tri_a} and {c.tri_b} share {shared}"
 
 
 def test_narrow_phase_is_symmetric_up_to_normal_sign():
@@ -642,8 +636,8 @@ def brute_force_overlaps(ca, ra, cb, rb) -> set:
     return set(zip(ii.tolist(), jj.tolist()))
 
 
-def overlap_set(ca, ra, cb, rb, same_object=False) -> set:
-    ia, ib = _overlap_candidates(ca, ra, cb, rb, same_object=same_object)
+def overlap_set(ca, ra, cb, rb) -> set:
+    ia, ib = _overlap_candidates(ca, ra, cb, rb)
     pairs = set(zip(ia.tolist(), ib.tolist()))
     assert len(pairs) == ia.size, "a pair came out twice"
     return pairs
@@ -662,17 +656,6 @@ def test_overlap_candidates_grid_path_matches_dense_scan():
     assert expect, "the layout must actually produce overlaps"
 
 
-def test_overlap_candidates_same_object_keeps_lower_triangle():
-    rng = np.random.default_rng(32)
-    c = rng.uniform(0, 1, size=(300, 3))
-    r = rng.uniform(0.05, 0.2, size=300)
-    ia, ib = _overlap_candidates(c, r, c, r, same_object=True)
-    assert np.all(ia < ib)
-    pairs = set(zip(ia.tolist(), ib.tolist()))
-    expect = {(i, j) for i, j in brute_force_overlaps(c, r, c, r) if i < j}
-    assert pairs == expect
-
-
 @pytest.mark.parametrize("offset", [0.0, 1e2, 1e3, 1e4])
 def test_overlap_candidates_survive_translation(offset):
     """A compact layout (spheres large next to the extent) moved far from
@@ -681,7 +664,7 @@ def test_overlap_candidates_survive_translation(offset):
     ca = rng.uniform(0, 1, size=(300, 3)) + offset
     cb = rng.uniform(0, 1, size=(300, 3)) + offset
     r = np.full(300, 0.1)
-    ia, ib = _overlap_candidates(ca, r, cb, r, same_object=False)
+    ia, ib = _overlap_candidates(ca, r, cb, r)
     expect = brute_force_overlaps(ca, r, cb, r)
     assert len(expect) > 1000, "the layout must produce many overlaps"
     assert set(zip(ia.tolist(), ib.tolist())) == expect
@@ -694,9 +677,7 @@ def test_overlap_candidates_row_blocks_find_the_same_pairs(monkeypatch):
     rng = np.random.default_rng(34)
     c = rng.uniform(0, 1, size=(200, 3))
     r = rng.uniform(0.05, 0.2, size=200)
-    ia, ib = _overlap_candidates(c, r, c, r, same_object=True)
-    expect = {(i, j) for i, j in brute_force_overlaps(c, r, c, r) if i < j}
-    assert set(zip(ia.tolist(), ib.tolist())) == expect
+    assert overlap_set(c, r, c, r) == brute_force_overlaps(c, r, c, r)
 
 
 @settings(max_examples=200, deadline=None)
@@ -704,9 +685,9 @@ def test_overlap_candidates_row_blocks_find_the_same_pairs(monkeypatch):
        offset=st.tuples(*[st.floats(-1e4, 1e4)] * 3),
        extent=st.floats(0.01, 10.0),
        n_a=st.integers(1, 80), n_b=st.integers(1, 80),
-       n_big=st.integers(0, 3), same_object=st.booleans())
+       n_big=st.integers(0, 3))
 def test_overlap_candidates_match_brute_force_on_mixed_radii(
-        seed, offset, extent, n_a, n_b, n_big, same_object):
+        seed, offset, extent, n_a, n_b, n_big):
     """A few big spheres among many small ones, anywhere within 1e4 of the
     origin: the big ones set the cell size, the small ones crowd a cell."""
     rng = np.random.default_rng(seed)
@@ -719,11 +700,8 @@ def test_overlap_candidates_match_brute_force_on_mixed_radii(
         return c, r
 
     ca, ra = cloud(n_a)
-    cb, rb = (ca, ra) if same_object else cloud(n_b)
-    expect = brute_force_overlaps(ca, ra, cb, rb)
-    if same_object:
-        expect = {(i, j) for i, j in expect if i < j}
-    assert overlap_set(ca, ra, cb, rb, same_object) == expect
+    cb, rb = cloud(n_b)
+    assert overlap_set(ca, ra, cb, rb) == brute_force_overlaps(ca, ra, cb, rb)
 
 
 @pytest.mark.parametrize("gap_axis", [0, 1, 2])
@@ -761,8 +739,6 @@ def test_overlap_candidates_centres_on_cell_boundaries(shift):
         assert (d2 == (2 * r) ** 2).any(), "the lattice must hold touching pairs"
         assert len(expect) == int((d2 < (2 * r) ** 2).sum())
         assert overlap_set(ca, rc, cb, rc) == expect
-    expect = {(i, j) for i, j in brute_force_overlaps(c, rc, c, rc) if i < j}
-    assert overlap_set(c, rc, c, rc, same_object=True) == expect
 
 
 def test_overlap_candidates_negative_coordinates():
@@ -808,17 +784,8 @@ def test_overlap_candidates_sparse_layout_coarsens_the_grid():
 
 def test_overlap_candidates_zero_radii_find_nothing():
     c = np.zeros((4, 3))
-    ia, ib = _overlap_candidates(c, np.zeros(4), c, np.zeros(4),
-                                 same_object=False)
+    ia, ib = _overlap_candidates(c, np.zeros(4), c, np.zeros(4))
     assert ia.size == 0 and ib.size == 0
-
-
-def test_drop_vertex_sharing_filters_exactly_the_sharing_pairs():
-    tris = np.array([[0, 1, 2], [2, 3, 4], [5, 6, 7], [7, 8, 0]])
-    ia = np.array([0, 0, 1, 2])
-    ib = np.array([1, 2, 2, 3])
-    ka, kb = _drop_vertex_sharing(ia, ib, tris)
-    assert list(zip(ka.tolist(), kb.tolist())) == [(0, 2), (1, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -866,7 +833,7 @@ def test_baseline_flags_the_coplanar_neighbors_the_cone_rejects():
     contacts, raw = baseline_bounding_ball(
         CandidatePair(0, 1),
         min_bounding_spheres(TriangleMesh(EQ_TRI_A, tri).corners),
-        min_bounding_spheres(TriangleMesh(EQ_TRI_B, tri).corners), tri)
+        min_bounding_spheres(TriangleMesh(EQ_TRI_B, tri).corners))
     assert raw == 1 and len(contacts) == 1
 
 
@@ -879,10 +846,10 @@ def test_baseline_distant_and_interpenetrating():
         return min_bounding_spheres(mesh.corners)
 
     c0, r0 = baseline_bounding_ball(CandidatePair(0, 1), spheres(home),
-                                    spheres(far), home.triangles)
+                                    spheres(far))
     assert len(c0) == 0 and r0 == 0
     c1, r1 = baseline_bounding_ball(CandidatePair(0, 1), spheres(home),
-                                    spheres(near), home.triangles)
+                                    spheres(near))
     assert len(c1) > 0 and r1 == len(c1), "every raw overlap is emitted"
 
 

@@ -14,7 +14,7 @@ import pytest
 
 import softsphere.harness as harness
 from softsphere.cli import main as cli_main
-from softsphere.detect import CandidatePair
+from softsphere.detect import CandidatePair, merge_contacts
 from softsphere.harness import (COMPARE_FIELDS, CSV_FIELDS, DET_FIELDS,
                                 SWEEP_FIELDS, FrameMetrics,
                                 _collision_constraints,
@@ -240,6 +240,57 @@ def test_scene_config_validation():
         generate_scene(scene_of(cloth_spec(pinned="999")))
 
 
+def _nameless_object_file(tmp_path):
+    path = tmp_path / "nameless.ini"
+    path.write_text("[scene]\n\n[object:]\ngenerator = cloth\n")
+    return parse_scene_file(path)
+
+
+@pytest.mark.parametrize("build,message", [
+    pytest.param(lambda _: scene_of(cloth_spec(), dt=0.0),
+                 "dt must be > 0", id="dt-zero"),
+    pytest.param(lambda _: scene_of(cloth_spec(), dt=-0.01),
+                 "dt must be > 0", id="dt-negative"),
+    pytest.param(lambda _: scene_of(cloth_spec(), frames=0),
+                 "frames must be >= 1", id="frames"),
+    pytest.param(lambda _: scene_of(cloth_spec(), iterations=0),
+                 "iterations must be >= 1", id="iterations"),
+    pytest.param(lambda _: scene_of(cloth_spec(), update_threshold=-0.1),
+                 "update_threshold must be >= 0", id="update-threshold"),
+    pytest.param(lambda _: scene_of(cloth_spec(), damping=-0.01),
+                 r"damping must be in \[0, 1\]", id="damping-below"),
+    pytest.param(lambda _: scene_of(cloth_spec(), damping=1.01),
+                 r"damping must be in \[0, 1\]", id="damping-above"),
+    pytest.param(lambda _: scene_of(cloth_spec(), stiffness=0.0),
+                 r"stiffness must be in \(0, 1\]", id="stiffness-zero"),
+    pytest.param(lambda _: scene_of(cloth_spec(), stiffness=1.01),
+                 r"stiffness must be in \(0, 1\]", id="stiffness-above"),
+    pytest.param(lambda _: ObjectSpec(name="m", generator="mesh"),
+                 "needs a path", id="mesh-without-path"),
+    pytest.param(lambda _: cloth_spec(mass=-1.0),
+                 "mass must be >= 0", id="mass"),
+    pytest.param(lambda _: cloth_spec(jitter=-1e-3),
+                 "jitter must be >= 0", id="jitter"),
+    pytest.param(lambda _: cloth_spec(check="voxel-count"),
+                 "unknown check", id="check"),
+    pytest.param(lambda _: generate_scene(scene_of(
+        cloth_spec(check="inscribed-sphere"))),
+                 "only applies to icospheres", id="inscribed-sphere-on-cloth"),
+    pytest.param(lambda _: generate_scene(scene_of(
+        ball_spec(check="halfspace"))),
+                 "only applies to floors", id="halfspace-on-ball"),
+    pytest.param(lambda _: generate_scene(scene_of(cloth_spec(pinned="0 x"))),
+                 "pinned must be", id="pinned-token"),
+    pytest.param(lambda _: builtin_scene("cloth-over-cube"),
+                 "unknown scene", id="builtin-name"),
+    pytest.param(_nameless_object_file,
+                 "object section needs a name", id="nameless-object"),
+])
+def test_scene_validation_rejects_each_bad_value(tmp_path, build, message):
+    with pytest.raises(SceneError, match=message):
+        build(tmp_path)
+
+
 # ---------------------------------------------------------------------------
 # scene files
 # ---------------------------------------------------------------------------
@@ -262,7 +313,6 @@ def test_parse_scene_file_round_trip(tmp_path):
         seed = 11
         damping = 0.97
         stiffness = 0.8
-        self_collision = true
 
         [object:sheet]
         generator = cloth
@@ -291,7 +341,7 @@ def test_parse_scene_file_round_trip(tmp_path):
     assert config.method == "bounding-ball"
     assert config.update_threshold == 0.4
     assert config.cone_tolerance_deg == 3.5
-    assert config.two_sided is False and config.self_collision is True
+    assert config.two_sided is False
     assert config.flat_scale == 1.3 and config.seed == 11
     assert config.damping == 0.97 and config.stiffness == 0.8
     sheet, ball = config.objects
@@ -342,6 +392,8 @@ def test_parse_scene_file_mesh_paths_resolve_next_to_the_file(tmp_path):
      "boolean"),
     ("[scene]\nframes = soon\n\n[object:c]\ngenerator = cloth\n",
      "bad value"),
+    ("[scene]\nself_collision = true\n\n[object:c]\ngenerator = cloth\n",
+     "unknown key"),
 ])
 def test_parse_scene_file_rejects_malformed_input(tmp_path, body, message):
     path = tmp_path / "bad.ini"
@@ -395,7 +447,7 @@ def test_collision_constraints_capture_the_contact_spheres(method_name):
                                 center=(0.47, 0.0, 0.0), mass=0.0),
                       method=method_name)
     world = generate_scene(config)
-    method = harness._METHOD_CLASSES[method_name](world, config)
+    detect = harness._detector(world, config)
     soft, rock = world.objects
     predicted = world.state.positions.copy()
     if method_name == "circumsphere":
@@ -404,12 +456,13 @@ def test_collision_constraints_capture_the_contact_spheres(method_name):
     else:
         predicted[soft.vertex_slice(), 1] *= 3.0
     meshes = [world.mesh_of(o, predicted) for o in world.objects]
-    contacts, _, rebuilds = method.detect(
-        1, meshes, [CandidatePair(0, 1), CandidatePair(1, 0)])
+    found, rebuilds, spheres = detect(
+        meshes, [CandidatePair(0, 1), CandidatePair(1, 0)])
+    contacts = merge_contacts([c for c, _ in found])
     assert len(contacts) > 0
     assert set(contacts.obj_a.tolist()) == {0, 1}
 
-    rows = _collision_constraints(contacts, world, method.spheres, predicted)
+    rows = _collision_constraints(contacts, world, spheres, predicted)
     assert len(rows) == len(contacts)
     assert np.array_equal(rows["normal_hint"], contacts.normal)
     centers = np.zeros((len(contacts), 2, 3))
@@ -425,10 +478,10 @@ def test_collision_constraints_capture_the_contact_spheres(method_name):
             center = corners.mean(axis=0) + rows["offsets"][k, side]
             centers[k, side] = center
             if method_name == "circumsphere":
-                sset = method.sets[objs[k]]
-                assert np.allclose(center, sset.centers[tris[k]], rtol=0,
+                centers_k, radii_k = spheres[objs[k]]
+                assert np.allclose(center, centers_k[tris[k]], rtol=0,
                                    atol=1e-12)
-                radius[k, side] = sset.radii[tris[k]]
+                radius[k, side] = radii_k[tris[k]]
             else:
                 radius[k, side], is_obtuse = minimal_sphere_radius(corners)
                 obtuse += is_obtuse

@@ -368,6 +368,26 @@ def test_project_collision_equal_masses_split_the_depth():
                                                     abs=1e-6)
 
 
+def test_project_collision_coincident_centers_part_along_the_hint():
+    """Both sphere centers at one point (gap 0): the center line is
+    undefined, so the row pushes along its normal hint, side a back along
+    it and side b forward, and the centroids part by the full depth."""
+    state, con = _two_triangle_contact(gap=0.0)
+    con["normal_hint"] = [0.0, 0.0, 1.0]
+    ca, cb = _sphere_centers(con, state.positions)
+    assert np.array_equal(ca, cb), "the test needs coincident centers"
+    depth = -_violation(con, state.positions)
+    assert depth == pytest.approx(1.0)
+    expect = sweep_collisions(state.predicted, state.inv_mass, con)
+    moved = _project_once(state, [], con)
+    assert np.allclose(state.positions, expect, rtol=0.0, atol=1e-12)
+    assert np.allclose(moved[:3], [0.0, 0.0, -0.5 * depth], atol=1e-12)
+    assert np.allclose(moved[3:], [0.0, 0.0, +0.5 * depth], atol=1e-12)
+    parted = (state.positions[[3, 4, 5]].mean(axis=0)
+              - state.positions[[0, 1, 2]].mean(axis=0))
+    assert np.allclose(parted, [0.0, 0.0, depth], atol=1e-12)
+
+
 def test_project_collision_fully_pinned_contact_is_skipped():
     state, con = _two_triangle_contact(gap=0.9, w_a=0.0, w_b=0.0)
     assert not np.any(_project_once(state, [], con))
