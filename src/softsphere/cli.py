@@ -1,14 +1,16 @@
 """Command-line front end: run scenes, sweep update thresholds, compare methods.
 
-Exit codes: 0 on success, 2 for bad scene descriptions or arguments, 3 when
-a run aborts midway because the solver goes unstable or a deforming mesh
-produces a degenerate triangle (the partial CSV is kept).
+Exit codes: 0 on success, 2 for bad scene descriptions or arguments (a
+value out of range or not finite included), 3 when a run aborts midway
+because the solver goes unstable or a deforming mesh produces a degenerate
+triangle (the partial CSV is kept).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
@@ -30,16 +32,14 @@ def _load_scene(spec: str, args: argparse.Namespace) -> SceneConfig:
         if value is not None:
             overrides[key] = value
     if spec in BUILTIN_SCENES:
-        return builtin_scene(spec, **overrides)
-    path = Path(spec)
-    if not path.exists():
-        raise SceneError(f"'{spec}' is neither a built-in scene "
-                         f"({', '.join(sorted(BUILTIN_SCENES))}) nor a file")
-    config = parse_scene_file(path)
-    if overrides:
-        from dataclasses import replace
-        config = replace(config, **overrides)
-    return config
+        config = builtin_scene(spec)
+    else:
+        path = Path(spec)
+        if not path.exists():
+            raise SceneError(f"'{spec}' is neither a built-in scene "
+                             f"({', '.join(sorted(BUILTIN_SCENES))}) nor a file")
+        config = parse_scene_file(path)
+    return replace(config, **overrides)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

@@ -258,7 +258,7 @@ def _participating_vertices(contacts: np.recarray,
     """Global ids of deformable-object vertices touched by any contact."""
     ids = [np.empty(0, dtype=np.int64)]
     for obj in world.objects:
-        if obj.deformable:
+        if not obj.static:
             for obj_col, tri_col in _SIDES:
                 tris = contacts[tri_col][contacts[obj_col] == obj.index]
                 ids.append(obj.global_triangles()[tris].ravel())

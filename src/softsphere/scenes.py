@@ -2,8 +2,9 @@
 
 A scene is a list of mesh objects (generated primitives or .obj-style files)
 plus global solver and detection settings.  Scenes live in INI files with a
-``[scene]`` section and one ``[object:NAME]`` section per object, or come
-from the built-in constructors at the bottom of this module.
+``[scene]`` section and one ``[object:NAME]`` section per object, whose keys
+are the ``SceneConfig`` and ``ObjectSpec`` field names, or come from the
+built-in constructors at the bottom of this module.
 
 ``generate_scene`` turns a SceneConfig into a World: one global particle
 state covering all objects, per-object index bookkeeping, and the distance
@@ -15,9 +16,12 @@ here; the solver projects its rows colour by colour.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, List, Optional, Sequence, Tuple, Union,
+                    get_type_hints)
 
 import numpy as np
 
@@ -114,8 +118,10 @@ class SceneConfig:
         if self.method not in METHODS:
             raise SceneError(f"unknown method '{self.method}' "
                              f"(expected one of {METHODS})")
-        if self.update_threshold < 0:
+        if not self.update_threshold >= 0:
             raise SceneError("update_threshold must be >= 0")
+        if self.flat_scale < 1:
+            raise SceneError("flat_scale must be >= 1")
         if not 0 <= self.damping <= 1:
             raise SceneError("damping must be in [0, 1]")
         if not 0 < self.stiffness <= 1:
@@ -149,13 +155,8 @@ class SceneObject:
     num_vertices: int
     triangles: np.ndarray          # (m, 3) local vertex indices
     static: bool
-    pinned_local: np.ndarray       # local indices with infinite mass
     check: Optional[CheckVolume]
     rest_mesh: TriangleMesh        # geometry at assembly time
-
-    @property
-    def deformable(self) -> bool:
-        return not self.static
 
     def vertex_slice(self) -> slice:
         return slice(self.first_vertex, self.first_vertex + self.num_vertices)
@@ -176,11 +177,9 @@ class World:
     def positions_of(self, obj: SceneObject) -> np.ndarray:
         return self.state.positions[obj.vertex_slice()]
 
-    def mesh_of(self, obj: SceneObject,
-                positions: Optional[np.ndarray] = None) -> TriangleMesh:
-        """Cheap mesh view of an object at given (default current) positions."""
-        pos = self.state.positions if positions is None else positions
-        return TriangleMesh(pos[obj.vertex_slice()], obj.triangles,
+    def mesh_of(self, obj: SceneObject, positions: np.ndarray) -> TriangleMesh:
+        """Cheap mesh view of an object at the given global positions."""
+        return TriangleMesh(positions[obj.vertex_slice()], obj.triangles,
                             object_id=obj.name)
 
 
@@ -292,8 +291,8 @@ def generate_scene(config: SceneConfig) -> World:
         vel[w == 0] = 0.0
         objects.append(SceneObject(
             name=spec.name, index=i, first_vertex=first, num_vertices=nv,
-            triangles=mesh.triangles, static=static, pinned_local=pinned,
-            check=check, rest_mesh=mesh))
+            triangles=mesh.triangles, static=static, check=check,
+            rest_mesh=mesh))
         pos_chunks.append(verts)
         vel_chunks.append(vel)
         w_chunks.append(w)
@@ -329,23 +328,26 @@ def _distance_constraints(objects: Sequence[SceneObject],
 # INI scene files
 # ---------------------------------------------------------------------------
 
-_SCENE_KEYS = {"name", "dt", "frames", "iterations", "gravity", "method",
-               "update_threshold", "cone_tolerance_deg", "two_sided",
-               "flat_scale", "seed", "damping", "stiffness", "output"}
-_OBJECT_KEYS = {"generator", "n", "spacing", "subdivision", "radius", "size",
-                "resolution", "center", "mesh", "mass", "pinned", "velocity",
-                "jitter", "flip_normals", "check"}
+
+def _parse_number(kind: type, text: str, where: str):
+    """``kind(text)``; a SceneError if that fails or is not finite."""
+    try:
+        value = kind(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise SceneError(f"{where}: bad value '{text}'")
+    return value
 
 
 def _parse_vec3(text: str, where: str) -> np.ndarray:
-    parts = text.split()
-    if len(parts) != 3:
-        raise SceneError(f"{where}: expected three numbers, got '{text}'")
     try:
-        return np.array([float(p) for p in parts])
-    except ValueError as exc:
-        raise SceneError(f"{where}: expected three numbers, got '{text}'"
-                         ) from exc
+        value = np.array([float(p) for p in text.split()])
+    except ValueError:
+        value = np.empty(0)
+    if value.shape != (3,) or not np.isfinite(value).all():
+        raise SceneError(f"{where}: expected three numbers, got '{text}'")
+    return value
 
 
 def _parse_bool(text: str, where: str) -> bool:
@@ -357,11 +359,42 @@ def _parse_bool(text: str, where: str) -> bool:
     raise SceneError(f"{where}: expected a boolean, got '{text}'")
 
 
-def _typed(caster, text: str, where: str):
-    try:
-        return caster(text)
-    except ValueError as exc:
-        raise SceneError(f"{where}: bad value '{text}'") from exc
+def _parse_str(text: str, where: str) -> str:
+    return text.strip()
+
+
+# One parser per field type.  Each takes the raw INI text and the location
+# that its error message names.
+_PARSERS = {float: partial(_parse_number, float),
+            int: partial(_parse_number, int),
+            bool: _parse_bool, np.ndarray: _parse_vec3,
+            str: _parse_str, Optional[str]: _parse_str}
+
+
+def _ini_keys(cls: type, skip: str, renamed: Dict[str, str]
+              ) -> Dict[str, Tuple[str, Callable]]:
+    """INI key -> (field name, parser) for every field of ``cls`` but
+    ``skip``; a field's key is its name unless ``renamed`` says otherwise."""
+    return {renamed.get(name, name): (name, _PARSERS[hint])
+            for name, hint in get_type_hints(cls).items() if name != skip}
+
+
+# The dataclass fields are the only list of scene settings: the objects come
+# from their own sections, an object's name from its section title.
+_SCENE_KEYS = _ini_keys(SceneConfig, "objects", {})
+_OBJECT_KEYS = _ini_keys(ObjectSpec, "name", {"mesh_path": "mesh"})
+
+
+def _read(section: configparser.SectionProxy,
+          keys: Dict[str, Tuple[str, Callable]], where: str) -> Dict:
+    """Parse every key of one INI section into dataclass keyword arguments."""
+    kwargs = {}
+    for key, text in section.items():
+        if key not in keys:
+            raise SceneError(f"{where} has unknown key '{key}'")
+        name, parse = keys[key]
+        kwargs[name] = parse(text, f"{where} {key}")
+    return kwargs
 
 
 def parse_scene_file(path: Union[str, Path]) -> SceneConfig:
@@ -376,31 +409,8 @@ def parse_scene_file(path: Union[str, Path]) -> SceneConfig:
         raise SceneError(f"{path}: {exc}") from exc
     if not cp.has_section("scene"):
         raise SceneError(f"{path}: missing [scene] section")
-    kwargs = {}
-    sec = cp["scene"]
-    for key in sec:
-        if key not in _SCENE_KEYS:
-            raise SceneError(f"{path}: [scene] has unknown key '{key}'")
-    where = f"{path}: [scene]"
-    if "name" in sec:
-        kwargs["name"] = sec["name"].strip()
-    for key, caster in (("dt", float), ("frames", int), ("iterations", int),
-                        ("update_threshold", float),
-                        ("cone_tolerance_deg", float), ("flat_scale", float),
-                        ("seed", int), ("damping", float),
-                        ("stiffness", float)):
-        if key in sec:
-            kwargs[key] = _typed(caster, sec[key], f"{where} {key}")
-    if "gravity" in sec:
-        kwargs["gravity"] = _parse_vec3(sec["gravity"], f"{where} gravity")
-    if "method" in sec:
-        kwargs["method"] = sec["method"].strip()
-    if "two_sided" in sec:
-        kwargs["two_sided"] = _parse_bool(sec["two_sided"],
-                                          f"{where} two_sided")
-    if "output" in sec:
-        kwargs["output"] = sec["output"].strip()
-
+    kwargs = _read(cp["scene"], _SCENE_KEYS, f"{path}: [scene]")
+    kwargs.setdefault("name", path.stem)
     objects: List[ObjectSpec] = []
     for section in cp.sections():
         if section == "scene":
@@ -410,39 +420,14 @@ def parse_scene_file(path: Union[str, Path]) -> SceneConfig:
         name = section[len("object:"):].strip()
         if not name:
             raise SceneError(f"{path}: object section needs a name")
-        osec = cp[section]
-        for key in osec:
-            if key not in _OBJECT_KEYS:
-                raise SceneError(f"{path}: [{section}] has unknown key '{key}'")
-        if "generator" not in osec:
-            raise SceneError(f"{path}: [{section}] is missing 'generator'")
-        owhere = f"{path}: [{section}]"
-        okw = {"name": name, "generator": osec["generator"].strip()}
-        for key, caster in (("n", int), ("spacing", float),
-                            ("subdivision", int), ("radius", float),
-                            ("size", float), ("resolution", int),
-                            ("mass", float), ("jitter", float)):
-            if key in osec:
-                okw[key] = _typed(caster, osec[key], f"{owhere} {key}")
-        for key in ("center", "velocity"):
-            if key in osec:
-                okw[key] = _parse_vec3(osec[key], f"{owhere} {key}")
-        if "mesh" in osec:
-            raw = osec["mesh"].strip()
-            mesh_path = Path(raw)
-            if not mesh_path.is_absolute():
-                mesh_path = path.parent / mesh_path
-            okw["mesh_path"] = str(mesh_path)
-        if "pinned" in osec:
-            okw["pinned"] = osec["pinned"].strip()
-        if "flip_normals" in osec:
-            okw["flip_normals"] = _parse_bool(osec["flip_normals"],
-                                              f"{owhere} flip_normals")
-        if "check" in osec:
-            okw["check"] = osec["check"].strip()
-        objects.append(ObjectSpec(**okw))
-    if "name" not in kwargs:
-        kwargs["name"] = path.stem
+        where = f"{path}: [{section}]"
+        okw = _read(cp[section], _OBJECT_KEYS, where)
+        if "generator" not in okw:
+            raise SceneError(f"{where} is missing 'generator'")
+        if "mesh_path" in okw:
+            # a relative path resolves next to the scene file
+            okw["mesh_path"] = str(path.parent / okw["mesh_path"])
+        objects.append(ObjectSpec(name=name, **okw))
     return SceneConfig(objects=objects, **kwargs)
 
 

@@ -221,7 +221,7 @@ def test_generate_scene_global_indexing_offsets_second_object():
     world = generate_scene(scene_of(a, b))
     assert world.objects[1].first_vertex == 9
     assert world.objects[1].global_triangles().min() == 9
-    mesh_b = world.mesh_of(world.objects[1])
+    mesh_b = world.mesh_of(world.objects[1], world.state.positions)
     assert np.allclose(mesh_b.vertices.mean(axis=0), [5.0, 0.0, 0.0], atol=1e-12)
 
 
@@ -257,6 +257,10 @@ def _nameless_object_file(tmp_path):
                  "iterations must be >= 1", id="iterations"),
     pytest.param(lambda _: scene_of(cloth_spec(), update_threshold=-0.1),
                  "update_threshold must be >= 0", id="update-threshold"),
+    pytest.param(lambda _: scene_of(cloth_spec(), update_threshold=math.nan),
+                 "update_threshold must be >= 0", id="update-threshold-nan"),
+    pytest.param(lambda _: scene_of(cloth_spec(), flat_scale=0.5),
+                 "flat_scale must be >= 1", id="flat-scale"),
     pytest.param(lambda _: scene_of(cloth_spec(), damping=-0.01),
                  r"damping must be in \[0, 1\]", id="damping-below"),
     pytest.param(lambda _: scene_of(cloth_spec(), damping=1.01),
@@ -394,6 +398,14 @@ def test_parse_scene_file_mesh_paths_resolve_next_to_the_file(tmp_path):
      "bad value"),
     ("[scene]\nself_collision = true\n\n[object:c]\ngenerator = cloth\n",
      "unknown key"),
+    ("[scene]\ncone_tolerance_deg = nan\n\n[object:c]\ngenerator = cloth\n",
+     "bad value"),
+    ("[scene]\ndt = inf\n\n[object:c]\ngenerator = cloth\n", "bad value"),
+    ("[scene]\n\n[object:c]\ngenerator = cloth\nmass = nan\n", "bad value"),
+    ("[scene]\ngravity = 0 nan 0\n\n[object:c]\ngenerator = cloth\n",
+     "three numbers"),
+    ("[scene]\n\n[object:c]\ngenerator = cloth\ncenter = -inf 0 0\n",
+     "three numbers"),
 ])
 def test_parse_scene_file_rejects_malformed_input(tmp_path, body, message):
     path = tmp_path / "bad.ini"
@@ -751,6 +763,21 @@ def test_cli_malformed_scene_file_exits_2(tmp_path, capsys):
                     "generator = cloth\n")
     assert cli_main(["run", str(path)]) == 2
     assert "bad value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting,args,message", [
+    pytest.param("flat_scale = 0.5", [], "flat_scale must be >= 1",
+                 id="flat-scale"),
+    pytest.param("dt = nan", [], "bad value", id="dt-nan"),
+    pytest.param("", ["--d", "nan"], "update_threshold must be >= 0",
+                 id="d-nan"),
+])
+def test_cli_value_out_of_range_or_not_finite_exits_2(tmp_path, capsys,
+                                                      setting, args, message):
+    path = tmp_path / "bad.ini"
+    path.write_text(TINY_SCENE.replace("[scene]\n", f"[scene]\n{setting}\n"))
+    assert cli_main(["run", str(path), *args]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cli_sweep_writes_summary(tmp_path, capsys):
