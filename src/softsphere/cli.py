@@ -14,8 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
-from .harness import (DEFAULT_D_GRID, compare_methods, run_scene, sweep_d,
-                      _summarize)
+from .harness import DEFAULT_D_GRID, run_each, run_scene, summarize
 from .mesh import MeshError
 from .pbd import SolverInstabilityError
 from .scenes import (BUILTIN_SCENES, METHODS, SceneConfig, SceneError,
@@ -62,7 +61,7 @@ def _parse_floats(text: str, what: str) -> List[float]:
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _load_scene(args.scene, args)
     result = run_scene(config, out_path=args.out)
-    summary = _summarize(result)
+    summary = summarize(result)
     print(f"scene '{config.name}': {len(result.metrics)} frames, "
           f"method {config.method}")
     print(f"  mean detect {summary['mean_detect_time_s'] * 1e3:.3f} ms, "
@@ -77,23 +76,34 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _run_and_tabulate(args: argparse.Namespace, config: SceneConfig,
+                      field: str, values: List, title: str) -> int:
+    """``run_each`` over ``values``, then one table line per run."""
+    rows = run_each(config, field, values, out_path=args.out)
+    print(title)
+    print(f"  {field:>16}  {'rebuilds/frame':>14}  {'detect ms':>10}  "
+          f"{'solve ms':>9}  {'contacts':>9}  {'stability':>12}  "
+          f"{'tunneled':>8}")
+    for row in rows:
+        print(f"  {row[field]!s:>16}  "
+              f"{row['mean_rebuilds_per_frame']:>14.1f}  "
+              f"{row['mean_detect_time_s'] * 1e3:>10.3f}  "
+              f"{row['mean_solve_time_s'] * 1e3:>9.3f}  "
+              f"{row['mean_validated_contacts']:>9.1f}  "
+              f"{row['mean_stability_m']:>12.6g}  "
+              f"{row['final_tunneled']:>8}")
+    if args.out:
+        print(f"  summary: {args.out}")
+    return 0
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_scene(args.scene, args)
     d_values = (_parse_floats(args.d_list, "threshold") if args.d_list
                 else list(DEFAULT_D_GRID))
-    rows = sweep_d(config, d_values, out_path=args.out)
-    print(f"scene '{config.name}', method {config.method}: "
-          f"update-threshold sweep")
-    print(f"  {'d':>5}  {'rebuilds/frame':>14}  {'detect ms':>10}  "
-          f"{'stability':>12}")
-    for row in rows:
-        print(f"  {row['update_threshold']:>5.2f}  "
-              f"{row['mean_rebuilds_per_frame']:>14.1f}  "
-              f"{row['mean_detect_time_s'] * 1e3:>10.3f}  "
-              f"{row['mean_stability_m']:>12.6g}")
-    if args.out:
-        print(f"  summary: {args.out}")
-    return 0
+    return _run_and_tabulate(args, config, "update_threshold", d_values,
+                             f"scene '{config.name}', method "
+                             f"{config.method}: update-threshold sweep")
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -102,19 +112,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     for m in methods:
         if m not in METHODS:
             raise SceneError(f"unknown method '{m}' (expected one of {METHODS})")
-    rows = compare_methods(config, methods, out_path=args.out)
-    print(f"scene '{config.name}': method comparison")
-    print(f"  {'method':>14}  {'detect ms':>10}  {'solve ms':>9}  "
-          f"{'contacts':>9}  {'tunneled':>8}")
-    for row in rows:
-        print(f"  {row['method']:>14}  "
-              f"{row['mean_detect_time_s'] * 1e3:>10.3f}  "
-              f"{row['mean_solve_time_s'] * 1e3:>9.3f}  "
-              f"{row['mean_validated_contacts']:>9.1f}  "
-              f"{row['final_tunneled']:>8}")
-    if args.out:
-        print(f"  summary: {args.out}")
-    return 0
+    return _run_and_tabulate(args, config, "method", methods,
+                             f"scene '{config.name}': method comparison")
 
 
 def _cmd_scenes(_args: argparse.Namespace) -> int:

@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from time import perf_counter
-from typing import (Callable, Dict, List, Optional, Sequence, Tuple, Union,
-                    get_type_hints)
+from typing import (IO, Callable, Dict, List, Optional, Sequence, Tuple,
+                    Union, get_type_hints)
 
 import numpy as np
 
@@ -270,38 +270,40 @@ def _participating_vertices(contacts: np.recarray,
 # ---------------------------------------------------------------------------
 
 
+def _open_csv(path: Union[str, Path], fields: Sequence[str]
+              ) -> Tuple[IO[str], csv.DictWriter]:
+    """Create ``path`` (and its directory) with a CSV header of ``fields``;
+    the returned writer ignores a row's keys outside ``fields``."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fh = open(path, "w", newline="")
+    writer = csv.DictWriter(fh, fieldnames=fields, extrasaction="ignore")
+    writer.writeheader()
+    fh.flush()
+    return fh, writer
+
+
 class _Reporter:
     """Streams metric rows to the main CSV and the deterministic companion."""
 
     def __init__(self, out_path: Optional[Union[str, Path]]) -> None:
-        self._files = []
-        self._writers = []
-        if out_path is None:
-            return
-        path = Path(out_path)
-        if path.parent and not path.parent.exists():
-            path.parent.mkdir(parents=True, exist_ok=True)
-        det = path.with_name(path.stem + ".det" + (path.suffix or ".csv"))
-        for p, fields in ((path, CSV_FIELDS), (det, DET_FIELDS)):
-            fh = open(p, "w", newline="")
-            writer = csv.DictWriter(fh, fieldnames=fields,
-                                    extrasaction="ignore")
-            writer.writeheader()
-            fh.flush()
-            self._files.append(fh)
-            self._writers.append(writer)
+        self._outs = []
+        if out_path is not None:
+            path = Path(out_path)
+            det = path.with_name(path.stem + ".det" + (path.suffix or ".csv"))
+            self._outs = [_open_csv(path, CSV_FIELDS),
+                          _open_csv(det, DET_FIELDS)]
 
     def write(self, metrics: FrameMetrics) -> None:
         row = metrics.row()
-        for fh, writer in zip(self._files, self._writers):
+        for fh, writer in self._outs:
             writer.writerow(row)
             fh.flush()
 
     def close(self) -> None:
-        for fh in self._files:
+        for fh, _ in self._outs:
             fh.close()
-        self._files = []
-        self._writers = []
+        self._outs = []
 
 
 def run_scene(config: SceneConfig,
@@ -321,7 +323,7 @@ def run_scene(config: SceneConfig,
                               stiffness=config.stiffness,
                               damping=config.damping)
     detect = _detector(world, config)
-    reporter = _Reporter(out_path if out_path is not None else config.output)
+    reporter = _Reporter(out_path)
     metrics: List[FrameMetrics] = []
     prev_positions = state.positions.copy()
     try:
@@ -368,17 +370,16 @@ def run_scene(config: SceneConfig,
 # sweeps and comparisons
 # ---------------------------------------------------------------------------
 
-SWEEP_FIELDS = ("update_threshold", "total_rebuilds", "mean_rebuilds_per_frame",
-                "mean_detect_time_s", "mean_stability_m",
-                "mean_validated_contacts", "final_tunneled")
-COMPARE_FIELDS = ("method", "mean_detect_time_s", "mean_solve_time_s",
-                  "total_rebuilds", "mean_raw_contacts",
-                  "mean_validated_contacts", "final_tunneled")
+SUMMARY_FIELDS = ("total_rebuilds", "mean_rebuilds_per_frame",
+                  "mean_detect_time_s", "mean_solve_time_s",
+                  "mean_raw_contacts", "mean_validated_contacts",
+                  "mean_stability_m", "final_tunneled")
 
 DEFAULT_D_GRID = (0.0, 0.3, 0.7, 0.9, 1.5, 2.0)
 
 
-def _summarize(result: RunResult) -> Dict[str, float]:
+def summarize(result: RunResult) -> Dict[str, float]:
+    """One run's totals and per-frame means, keyed by ``SUMMARY_FIELDS``."""
     return {
         "total_rebuilds": int(result.column("rebuild_count").sum()),
         "mean_rebuilds_per_frame": float(result.column("rebuild_count").mean()),
@@ -392,46 +393,19 @@ def _summarize(result: RunResult) -> Dict[str, float]:
     }
 
 
-def _write_rows(out_path: Optional[Union[str, Path]], fields: Sequence[str],
-                rows: Sequence[Dict]) -> None:
-    if out_path is None:
-        return
-    path = Path(out_path)
-    if path.parent and not path.parent.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields, extrasaction="ignore")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+def run_each(config: SceneConfig, field: str, values: Sequence,
+             out_path: Optional[Union[str, Path]] = None) -> List[Dict]:
+    """Run the scene once per value of the ``SceneConfig`` field ``field``.
 
-
-def sweep_d(config: SceneConfig,
-            d_values: Sequence[float] = DEFAULT_D_GRID,
-            out_path: Optional[Union[str, Path]] = None,
-            frame_hook: Optional[FrameHook] = None) -> List[Dict]:
-    """Run the scene once per update threshold and summarize each run."""
-    rows = []
-    for d in d_values:
-        result = run_scene(replace(config, update_threshold=d, output=None),
-                           frame_hook=frame_hook)
-        summary = _summarize(result)
-        summary["update_threshold"] = d
-        rows.append(summary)
-    _write_rows(out_path, SWEEP_FIELDS, rows)
-    return rows
-
-
-def compare_methods(config: SceneConfig,
-                    methods: Sequence[str] = ("circumsphere", "bounding-ball",
-                                              "polygon-exact"),
-                    out_path: Optional[Union[str, Path]] = None) -> List[Dict]:
-    """Run the scene once per detection method and summarize each run."""
-    rows = []
-    for name in methods:
-        result = run_scene(replace(config, method=name, output=None))
-        summary = _summarize(result)
-        summary["method"] = name
-        rows.append(summary)
-    _write_rows(out_path, COMPARE_FIELDS, rows)
+    Returns one row per run: ``{field: value}`` followed by ``summarize``.
+    With ``out_path`` the rows are also written there as CSV, with the
+    columns ``field`` and then ``SUMMARY_FIELDS``.
+    """
+    rows = [{field: value,
+             **summarize(run_scene(replace(config, **{field: value})))}
+            for value in values]
+    if out_path is not None:
+        fh, writer = _open_csv(out_path, (field,) + SUMMARY_FIELDS)
+        with fh:
+            writer.writerows(rows)
     return rows

@@ -96,9 +96,9 @@ class SolverConfig:
     damping: float = 0.99
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError("dt must be > 0")
-        if self.iterations < 1:
+        if not self.iterations >= 1:
             raise ValueError("iterations must be >= 1")
         self.gravity = np.asarray(self.gravity, dtype=np.float64)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import (Callable, Dict, List, Optional, Sequence, Tuple, Union,
@@ -38,6 +38,17 @@ class SceneError(Exception):
 METHODS = ("circumsphere", "bounding-ball", "polygon-exact")
 GENERATORS = ("cloth", "icosphere", "floor", "mesh")
 CHECKS = ("inscribed-sphere", "halfspace", "ray-parity")
+
+
+def _require_finite(spec, where: str) -> None:
+    """A SceneError naming the first number or array field of the dataclass
+    ``spec`` that is not finite."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if ((isinstance(value, float) and not math.isfinite(value))
+                or (isinstance(value, np.ndarray)
+                    and not np.isfinite(value).all())):
+            raise SceneError(f"{where}{f.name} must be finite")
 
 
 @dataclass
@@ -73,13 +84,14 @@ class ObjectSpec:
                              f"'{self.generator}' (expected one of {GENERATORS})")
         if self.generator == "mesh" and not self.mesh_path:
             raise SceneError(f"object '{self.name}': generator 'mesh' needs a path")
-        if self.mass < 0:
+        if not self.mass >= 0:
             raise SceneError(f"object '{self.name}': mass must be >= 0")
-        if self.jitter < 0:
+        if not self.jitter >= 0:
             raise SceneError(f"object '{self.name}': jitter must be >= 0")
         if self.check is not None and self.check not in CHECKS:
             raise SceneError(f"object '{self.name}': unknown check "
                              f"'{self.check}' (expected one of {CHECKS})")
+        _require_finite(self, f"object '{self.name}': ")
 
 
 @dataclass
@@ -100,7 +112,6 @@ class SceneConfig:
     seed: int = 0
     damping: float = 0.99
     stiffness: float = 1.0
-    output: Optional[str] = None
 
     def __post_init__(self) -> None:
         self.gravity = np.asarray(self.gravity, dtype=np.float64)
@@ -109,23 +120,26 @@ class SceneConfig:
         names = [o.name for o in self.objects]
         if len(set(names)) != len(names):
             raise SceneError(f"duplicate object names: {sorted(names)}")
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise SceneError("dt must be > 0")
-        if self.frames < 1:
+        if not self.frames >= 1:
             raise SceneError("frames must be >= 1")
-        if self.iterations < 1:
+        if not self.iterations >= 1:
             raise SceneError("iterations must be >= 1")
         if self.method not in METHODS:
             raise SceneError(f"unknown method '{self.method}' "
                              f"(expected one of {METHODS})")
         if not self.update_threshold >= 0:
             raise SceneError("update_threshold must be >= 0")
-        if self.flat_scale < 1:
+        if not self.cone_tolerance_deg >= 0:
+            raise SceneError("cone_tolerance_deg must be >= 0")
+        if not self.flat_scale >= 1:
             raise SceneError("flat_scale must be >= 1")
         if not 0 <= self.damping <= 1:
             raise SceneError("damping must be in [0, 1]")
         if not 0 < self.stiffness <= 1:
             raise SceneError("stiffness must be in (0, 1]")
+        _require_finite(self, "")
 
 
 @dataclass

@@ -43,10 +43,12 @@ class SphereParams:
     def __post_init__(self) -> None:
         if not self.k_threshold > 0:
             raise ValueError("k_threshold must be > 0")
-        if self.flat_scale < 1:
+        if not self.flat_scale >= 1:
             raise ValueError("flat_scale must be >= 1")
-        if self.update_threshold_d < 0:
+        if not self.update_threshold_d >= 0:
             raise ValueError("update_threshold_d must be >= 0")
+        if not self.cone_tolerance >= 0:
+            raise ValueError("cone_tolerance must be >= 0")
 
     @classmethod
     def for_mesh(cls, mesh: TriangleMesh, **overrides) -> "SphereParams":

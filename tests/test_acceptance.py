@@ -15,8 +15,7 @@ import pytest
 
 from softsphere.detect import (CandidatePair, baseline_bounding_ball,
                                min_bounding_spheres)
-from softsphere.harness import (DEFAULT_D_GRID, compare_methods, run_scene,
-                                sweep_d)
+from softsphere.harness import DEFAULT_D_GRID, run_each, run_scene
 from softsphere.mesh import (TriangleMesh, cloth_grid, compute_curvature,
                              icosphere)
 from softsphere.scenes import (ObjectSpec, SceneConfig, builtin_scene,
@@ -203,12 +202,11 @@ def test_criterion_6_detection_cost_ordering():
     for seed in range(5):
         config = builtin_scene("two-sphere-impact", seed=seed)
         tris = sum(len(o.triangles) for o in generate_scene(config).objects)
-        rows = compare_methods(config, methods=("bounding-ball",
-                                                "circumsphere"))
+        rows = run_each(config, "method", ("bounding-ball", "circumsphere"))
         spheres.append(tuple(r["mean_detect_time_s"] for r in rows))
-        rows = compare_methods(builtin_scene("two-sphere-impact", seed=seed,
-                                             frames=40),
-                               methods=("circumsphere", "polygon-exact"))
+        rows = run_each(builtin_scene("two-sphere-impact", seed=seed,
+                                      frames=40),
+                        "method", ("circumsphere", "polygon-exact"))
         exact.append(tuple(r["mean_detect_time_s"] for r in rows))
     ok = all(b < c for b, c in spheres) and all(c < p for c, p in exact)
     detail = "; ".join(f"seed {i}: {b * 1e3:.2f} < {c * 1e3:.2f} ms "
@@ -228,7 +226,7 @@ def test_criterion_6_detection_cost_ordering():
 
 def test_criterion_7_lazy_update_sweep():
     config = builtin_scene("cloth-over-sphere")
-    rows = sweep_d(config, DEFAULT_D_GRID)
+    rows = run_each(config, "update_threshold", DEFAULT_D_GRID)
     totals = [r["total_rebuilds"] for r in rows]
     nonincreasing = all(totals[i] >= totals[i + 1]
                         for i in range(len(totals) - 1))

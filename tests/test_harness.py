@@ -15,12 +15,10 @@ import pytest
 import softsphere.harness as harness
 from softsphere.cli import main as cli_main
 from softsphere.detect import CandidatePair, merge_contacts
-from softsphere.harness import (COMPARE_FIELDS, CSV_FIELDS, DET_FIELDS,
-                                SWEEP_FIELDS, FrameMetrics,
-                                _collision_constraints,
-                                _participating_vertices, compare_methods,
-                                run_scene, stability_metric, sweep_d,
-                                tunneled_count)
+from softsphere.harness import (CSV_FIELDS, DET_FIELDS, SUMMARY_FIELDS,
+                                FrameMetrics, _collision_constraints,
+                                _participating_vertices, run_each, run_scene,
+                                stability_metric, tunneled_count)
 from softsphere.pbd import SolverInstabilityError
 from softsphere.scenes import (ObjectSpec, SceneConfig, SceneError,
                                builtin_scene, generate_scene,
@@ -251,6 +249,20 @@ def _nameless_object_file(tmp_path):
                  "dt must be > 0", id="dt-zero"),
     pytest.param(lambda _: scene_of(cloth_spec(), dt=-0.01),
                  "dt must be > 0", id="dt-negative"),
+    pytest.param(lambda _: scene_of(cloth_spec(), dt=math.nan),
+                 "dt must be > 0", id="dt-nan"),
+    pytest.param(lambda _: builtin_scene("sphere-drop-on-plane", frames=2,
+                                         dt=math.inf),
+                 "dt must be finite", id="dt-inf-override"),
+    pytest.param(lambda _: scene_of(cloth_spec(),
+                                    gravity=np.array([0.0, math.nan, 0.0])),
+                 "gravity must be finite", id="gravity-nan"),
+    pytest.param(lambda _: scene_of(cloth_spec(), cone_tolerance_deg=-90.0),
+                 "cone_tolerance_deg must be >= 0", id="cone-tolerance"),
+    pytest.param(lambda _: builtin_scene("sphere-drop-on-plane", frames=2,
+                                         cone_tolerance_deg=math.nan),
+                 "cone_tolerance_deg must be >= 0",
+                 id="cone-tolerance-nan-override"),
     pytest.param(lambda _: scene_of(cloth_spec(), frames=0),
                  "frames must be >= 1", id="frames"),
     pytest.param(lambda _: scene_of(cloth_spec(), iterations=0),
@@ -261,6 +273,9 @@ def _nameless_object_file(tmp_path):
                  "update_threshold must be >= 0", id="update-threshold-nan"),
     pytest.param(lambda _: scene_of(cloth_spec(), flat_scale=0.5),
                  "flat_scale must be >= 1", id="flat-scale"),
+    pytest.param(lambda _: builtin_scene("sphere-drop-on-plane", frames=2,
+                                         flat_scale=math.nan),
+                 "flat_scale must be >= 1", id="flat-scale-nan-override"),
     pytest.param(lambda _: scene_of(cloth_spec(), damping=-0.01),
                  r"damping must be in \[0, 1\]", id="damping-below"),
     pytest.param(lambda _: scene_of(cloth_spec(), damping=1.01),
@@ -273,8 +288,16 @@ def _nameless_object_file(tmp_path):
                  "needs a path", id="mesh-without-path"),
     pytest.param(lambda _: cloth_spec(mass=-1.0),
                  "mass must be >= 0", id="mass"),
+    pytest.param(lambda _: cloth_spec(mass=math.nan),
+                 "mass must be >= 0", id="mass-nan"),
     pytest.param(lambda _: cloth_spec(jitter=-1e-3),
                  "jitter must be >= 0", id="jitter"),
+    pytest.param(lambda _: cloth_spec(jitter=math.nan),
+                 "jitter must be >= 0", id="jitter-nan"),
+    pytest.param(lambda _: cloth_spec(center=(math.inf, 0.0, 0.0)),
+                 "center must be finite", id="center-inf"),
+    pytest.param(lambda _: cloth_spec(velocity=np.array([0.0, math.nan, 0.0])),
+                 "velocity must be finite", id="velocity-nan"),
     pytest.param(lambda _: cloth_spec(check="voxel-count"),
                  "unknown check", id="check"),
     pytest.param(lambda _: generate_scene(scene_of(
@@ -397,6 +420,8 @@ def test_parse_scene_file_mesh_paths_resolve_next_to_the_file(tmp_path):
     ("[scene]\nframes = soon\n\n[object:c]\ngenerator = cloth\n",
      "bad value"),
     ("[scene]\nself_collision = true\n\n[object:c]\ngenerator = cloth\n",
+     "unknown key"),
+    ("[scene]\noutput = x.csv\n\n[object:c]\ngenerator = cloth\n",
      "unknown key"),
     ("[scene]\ncone_tolerance_deg = nan\n\n[object:c]\ngenerator = cloth\n",
      "bad value"),
@@ -662,34 +687,34 @@ def test_frame_metrics_row_formatting():
 # ---------------------------------------------------------------------------
 
 
-def test_sweep_d_zero_threshold_rebuilds_every_moving_triangle(tmp_path):
+def test_run_each_zero_threshold_rebuilds_every_moving_triangle(tmp_path):
     """With d = 0 every falling-cloth triangle rebuilds every frame (722 of
     them; the static ball never moves), and a lazy threshold rebuilds
     strictly less."""
     config = builtin_scene("cloth-over-sphere", frames=30)
     out = tmp_path / "sweep.csv"
-    rows = sweep_d(config, d_values=(0.0, 0.7), out_path=out)
+    rows = run_each(config, "update_threshold", (0.0, 0.7), out_path=out)
     assert rows[0]["update_threshold"] == 0.0
     assert rows[0]["total_rebuilds"] == 722 * 30
     assert rows[1]["total_rebuilds"] < rows[0]["total_rebuilds"]
     header = out.read_text().splitlines()[0]
-    assert header == ",".join(SWEEP_FIELDS)
+    assert header == ",".join(("update_threshold",) + SUMMARY_FIELDS)
 
 
-def test_compare_methods_runs_each_method_once(tmp_path):
+def test_run_each_runs_each_method_once(tmp_path):
     config = builtin_scene("sphere-drop-on-plane", frames=5)
     out = tmp_path / "compare.csv"
-    rows = compare_methods(config,
-                           methods=("circumsphere", "bounding-ball",
-                                    "polygon-exact"),
-                           out_path=out)
+    rows = run_each(config, "method",
+                    ("circumsphere", "bounding-ball", "polygon-exact"),
+                    out_path=out)
     assert [r["method"] for r in rows] == ["circumsphere", "bounding-ball",
                                             "polygon-exact"]
     for r in rows:
+        assert list(r) == ["method", *SUMMARY_FIELDS]
         assert math.isfinite(r["mean_detect_time_s"])
         assert r["final_tunneled"] == 0
     header = out.read_text().splitlines()[0]
-    assert header == ",".join(COMPARE_FIELDS)
+    assert header == ",".join(("method",) + SUMMARY_FIELDS)
 
 
 # ---------------------------------------------------------------------------
@@ -769,6 +794,8 @@ def test_cli_malformed_scene_file_exits_2(tmp_path, capsys):
     pytest.param("flat_scale = 0.5", [], "flat_scale must be >= 1",
                  id="flat-scale"),
     pytest.param("dt = nan", [], "bad value", id="dt-nan"),
+    pytest.param("cone_tolerance_deg = -90", [],
+                 "cone_tolerance_deg must be >= 0", id="cone-tolerance"),
     pytest.param("", ["--d", "nan"], "update_threshold must be >= 0",
                  id="d-nan"),
 ])
@@ -787,7 +814,7 @@ def test_cli_sweep_writes_summary(tmp_path, capsys):
     code = cli_main(["sweep", str(path), "--d", "0,0.7", "--out", str(out)])
     assert code == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == ",".join(SWEEP_FIELDS)
+    assert lines[0] == ",".join(("update_threshold",) + SUMMARY_FIELDS)
     assert len(lines) == 3
 
 
@@ -806,6 +833,20 @@ def test_cli_compare_prints_a_table(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "circumsphere" in out and "bounding-ball" in out
+
+
+def test_cli_compare_writes_summary(tmp_path, capsys):
+    path = tmp_path / "tiny.ini"
+    path.write_text(TINY_SCENE)
+    out = tmp_path / "compare.csv"
+    code = cli_main(["compare", str(path), "--methods",
+                     "circumsphere,bounding-ball", "--out", str(out)])
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == ",".join(("method",) + SUMMARY_FIELDS)
+    assert [line.split(",")[0] for line in lines[1:]] == ["circumsphere",
+                                                           "bounding-ball"]
+    assert f"summary: {out}" in capsys.readouterr().out
 
 
 CRUSH_SCENE = textwrap.dedent("""\

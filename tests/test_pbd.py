@@ -68,6 +68,8 @@ def test_particle_state_validates_shapes_and_masses():
 def test_constraint_and_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(dt=0.0)
+    with pytest.raises(ValueError, match="dt must be > 0"):
+        SolverConfig(dt=math.nan)
     with pytest.raises(ValueError):
         SolverConfig(dt=0.01, iterations=0)
     with pytest.raises(ValueError, match="two distinct"):

@@ -240,6 +240,14 @@ def test_params_validation():
         SphereParams(k_threshold=1.0, flat_scale=0.8)
     with pytest.raises(ValueError):
         SphereParams(k_threshold=1.0, update_threshold_d=-0.1)
+    with pytest.raises(ValueError, match="flat_scale must be >= 1"):
+        SphereParams(k_threshold=1.0, flat_scale=math.nan)
+    with pytest.raises(ValueError, match="update_threshold_d must be >= 0"):
+        SphereParams(k_threshold=1.0, update_threshold_d=math.nan)
+    with pytest.raises(ValueError, match="cone_tolerance must be >= 0"):
+        SphereParams(k_threshold=1.0, cone_tolerance=-0.1)
+    with pytest.raises(ValueError, match="cone_tolerance must be >= 0"):
+        SphereParams(k_threshold=1.0, cone_tolerance=math.nan)
 
 
 def test_params_for_mesh_scales_with_bounding_box():
