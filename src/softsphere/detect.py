@@ -46,12 +46,12 @@ class BoundingSphere:
 
     center: np.ndarray
     radius: float
-    object_id: int = 0
 
 
 @dataclass
 class CandidatePair:
-    """Two distinct objects whose bounding spheres overlap."""
+    """Two distinct objects whose bounding spheres overlap, by their
+    indices in the scene's object list."""
 
     object_a: int
     object_b: int
@@ -77,26 +77,26 @@ class NarrowInput:
 # ---------------------------------------------------------------------------
 
 
-def object_bounding_sphere(mesh: TriangleMesh, object_id: int = 0) -> BoundingSphere:
+def object_bounding_sphere(mesh: TriangleMesh) -> BoundingSphere:
     """Centroid-centered sphere containing all vertices (valid, not minimal)."""
     if mesh.num_vertices == 0:
         raise ValueError("empty mesh has no bounding sphere")
     columns = mesh.vertices.T  # 1-D reductions: (n, 3) axis ones are slow
     center = np.array([x.mean() for x in columns])
     radius = float(norm([x - c for x, c in zip(columns, center)]).max())
-    return BoundingSphere(center=center, radius=radius, object_id=object_id)
+    return BoundingSphere(center=center, radius=radius)
 
 
 def broad_phase(spheres: Sequence[BoundingSphere]) -> List[CandidatePair]:
-    """All distinct object pairs whose bounding spheres touch or overlap."""
+    """All distinct object pairs whose bounding spheres touch or overlap;
+    a pair names each object by its sphere's position in ``spheres``."""
     pairs: List[CandidatePair] = []
     n = len(spheres)
     for i in range(n):
         for j in range(i + 1, n):
             d = float(np.linalg.norm(spheres[i].center - spheres[j].center))
             if d <= spheres[i].radius + spheres[j].radius:
-                pairs.append(CandidatePair(object_a=spheres[i].object_id,
-                                           object_b=spheres[j].object_id))
+                pairs.append(CandidatePair(object_a=i, object_b=j))
     return pairs
 
 
@@ -278,7 +278,8 @@ def narrow_phase(pair: CandidatePair, objects: Sequence[NarrowInput],
                  ) -> Tuple[np.recarray, int]:
     """Validated contacts for one candidate pair, plus the raw overlap count.
 
-    Contacts come out sorted by (tri_a, tri_b).
+    Contacts come out sorted by (tri_a, tri_b).  ``two_sided=False`` tests
+    side a's safety cone only.
     """
     a = objects[pair.object_a]
     b = objects[pair.object_b]

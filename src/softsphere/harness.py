@@ -172,7 +172,6 @@ class _CircumsphereMethod:
             self.params.append(params)
             self.curvature.append(curv)
             self.sets.append(build_sphere_set(obj.rest_mesh, curv, params))
-        self.two_sided = config.two_sided
 
     def detect(self, meshes: Sequence[TriangleMesh],
                pairs: Sequence[CandidatePair]) -> Detection:
@@ -183,8 +182,8 @@ class _CircumsphereMethod:
         inputs = [NarrowInput(self.sets[i], triangle_normals(mesh.corners),
                               mesh.triangles)
                   for i, mesh in enumerate(meshes)]
-        found = [narrow_phase(pair, inputs, self.params[pair.object_a],
-                              two_sided=self.two_sided) for pair in pairs]
+        found = [narrow_phase(pair, inputs, self.params[pair.object_a])
+                 for pair in pairs]
         return found, rebuilds, [(s.centers, s.radii) for s in self.sets]
 
 
@@ -332,8 +331,7 @@ def run_scene(config: SceneConfig,
             snapshot = state.predicted.copy() if frame_hook else None
             t0 = perf_counter()
             meshes = [world.mesh_of(o, state.predicted) for o in world.objects]
-            bounds = [object_bounding_sphere(meshes[o.index], o.index)
-                      for o in world.objects]
+            bounds = [object_bounding_sphere(mesh) for mesh in meshes]
             pairs = [p for p in broad_phase(bounds)
                      if not (world.objects[p.object_a].static
                              and world.objects[p.object_b].static)]

@@ -55,7 +55,6 @@ class TriangleMesh:
 
     vertices: np.ndarray
     triangles: np.ndarray
-    object_id: str = ""
 
     def __post_init__(self) -> None:
         self.vertices = np.ascontiguousarray(np.asarray(self.vertices, dtype=np.float64))
@@ -164,55 +163,51 @@ def validate_mesh(mesh: TriangleMesh) -> None:
 # ---------------------------------------------------------------------------
 
 
-def load_mesh(path: Union[str, Path], object_id: str = "") -> TriangleMesh:
+def load_mesh(path: Union[str, Path]) -> TriangleMesh:
     """Load the text format: ``v x y z`` / ``f i j k`` (1-based), ``#`` comments.
 
     Faces must be triangles; any other arity is rejected rather than split.
+    A file that cannot be opened or is not UTF-8 text raises MeshError.
     """
     path = Path(path)
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise MeshError(f"cannot read mesh file {path}: {reason}") from exc
     vertices: List[List[float]] = []
     faces: List[List[int]] = []
-    with open(path, "r") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            tag, args = parts[0], parts[1:]
-            if tag == "v":
-                if len(args) != 3:
-                    raise MeshError(f"{path.name}:{lineno}: vertex needs 3 coordinates")
-                try:
-                    vertices.append([float(x) for x in args])
-                except ValueError:
-                    raise MeshError(f"{path.name}:{lineno}: bad vertex coordinate")
-            elif tag == "f":
-                if len(args) != 3:
-                    raise MeshError(f"{path.name}:{lineno}: face has {len(args)} "
-                                    "indices; only triangles are supported")
-                try:
-                    idx = [int(x) for x in args]
-                except ValueError:
-                    raise MeshError(f"{path.name}:{lineno}: bad face index")
-                if any(i < 1 for i in idx):
-                    raise MeshError(f"{path.name}:{lineno}: face indices are 1-based")
-                faces.append([i - 1 for i in idx])
-            else:
-                raise MeshError(f"{path.name}:{lineno}: unknown line type {tag!r}")
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        tag, args = parts[0], parts[1:]
+        if tag == "v":
+            if len(args) != 3:
+                raise MeshError(f"{path.name}:{lineno}: vertex needs 3 coordinates")
+            try:
+                vertices.append([float(x) for x in args])
+            except ValueError:
+                raise MeshError(f"{path.name}:{lineno}: bad vertex coordinate")
+        elif tag == "f":
+            if len(args) != 3:
+                raise MeshError(f"{path.name}:{lineno}: face has {len(args)} "
+                                "indices; only triangles are supported")
+            try:
+                idx = [int(x) for x in args]
+            except ValueError:
+                raise MeshError(f"{path.name}:{lineno}: bad face index")
+            if any(i < 1 for i in idx):
+                raise MeshError(f"{path.name}:{lineno}: face indices are 1-based")
+            faces.append([i - 1 for i in idx])
+        else:
+            raise MeshError(f"{path.name}:{lineno}: unknown line type {tag!r}")
     if not vertices or not faces:
         raise MeshError(f"{path.name}: no vertices or no faces")
-    mesh = TriangleMesh(np.array(vertices), np.array(faces), object_id=object_id or path.stem)
+    mesh = TriangleMesh(np.array(vertices), np.array(faces))
     validate_mesh(mesh)
     return mesh
-
-
-def save_mesh(mesh: TriangleMesh, path: Union[str, Path]) -> None:
-    """Write the same text format load_mesh reads."""
-    with open(path, "w") as fh:
-        for v in mesh.vertices:
-            fh.write(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-        for t in mesh.triangles:
-            fh.write(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +298,7 @@ _ICO_FACES = [
 
 
 def icosphere(subdivision: int, radius: float = 1.0,
-              center: Sequence[float] = (0.0, 0.0, 0.0),
-              object_id: str = "icosphere") -> TriangleMesh:
+              center: Sequence[float] = (0.0, 0.0, 0.0)) -> TriangleMesh:
     """Geodesic sphere: V = 10*4^n + 2 vertices, F = 20*4^n faces.
 
     Midpoint-subdivides the icosahedron in the flat faces, then projects all
@@ -336,14 +330,13 @@ def icosphere(subdivision: int, radius: float = 1.0,
     V = np.array(verts)
     V /= np.linalg.norm(V, axis=1, keepdims=True)
     V = V * radius + np.asarray(center, dtype=np.float64)
-    mesh = TriangleMesh(V, np.array(faces, dtype=np.int64), object_id=object_id)
+    mesh = TriangleMesh(V, np.array(faces, dtype=np.int64))
     validate_mesh(mesh)
     return mesh
 
 
 def cloth_grid(n: int, spacing: float,
-               center: Sequence[float] = (0.0, 0.0, 0.0),
-               object_id: str = "cloth") -> TriangleMesh:
+               center: Sequence[float] = (0.0, 0.0, 0.0)) -> TriangleMesh:
     """Flat n x n vertex grid in the xz-plane, 2*(n-1)^2 triangles, +y normals."""
     if n < 2:
         raise MeshError("cloth grid needs n >= 2")
@@ -365,15 +358,14 @@ def cloth_grid(n: int, spacing: float,
             # counter-clockwise seen from +y (x right, z toward viewer)
             tris.append((v00, v10, v11))
             tris.append((v00, v11, v01))
-    mesh = TriangleMesh(V, np.array(tris, dtype=np.int64), object_id=object_id)
+    mesh = TriangleMesh(V, np.array(tris, dtype=np.int64))
     validate_mesh(mesh)
     return mesh
 
 
 def plane_floor(size: float, y: float = 0.0,
                 center_xz: Sequence[float] = (0.0, 0.0),
-                resolution: int = 1,
-                object_id: str = "floor") -> TriangleMesh:
+                resolution: int = 1) -> TriangleMesh:
     """Square floor grid at height y with +y normals.
 
     ``resolution`` counts cells per side.  Collision spheres of flat
@@ -384,5 +376,4 @@ def plane_floor(size: float, y: float = 0.0,
     if resolution < 1:
         raise MeshError("floor resolution must be >= 1")
     cx, cz = center_xz
-    return cloth_grid(resolution + 1, size / resolution, (cx, y, cz),
-                      object_id=object_id)
+    return cloth_grid(resolution + 1, size / resolution, (cx, y, cz))

@@ -60,13 +60,6 @@ class ParticleState:
         if np.any(self.inv_mass < 0):
             raise ValueError("inverse masses must be >= 0")
 
-    @classmethod
-    def rest(cls, positions: np.ndarray, inv_mass: np.ndarray) -> "ParticleState":
-        positions = np.asarray(positions, dtype=np.float64)
-        return cls(positions=positions.copy(), predicted=positions.copy(),
-                   velocities=np.zeros_like(positions),
-                   inv_mass=np.asarray(inv_mass, dtype=np.float64))
-
 
 # One distance constraint per row: the two particles of a mesh edge, the
 # edge's rest length and its colour.  Rows are sorted by colour, and no

@@ -11,6 +11,10 @@ state covering all objects, per-object index bookkeeping, and the distance
 constraints that give deformable meshes their structure.  Those are one
 ``DISTANCE_DTYPE`` array, a row per unique edge, coloured and built once
 here; the solver projects its rows colour by colour.
+
+An object's name (its section title) appears only in error messages.  In
+the World an object is its position in ``World.objects``, the index that
+candidate pairs and contacts carry.
 """
 
 from __future__ import annotations
@@ -107,7 +111,6 @@ class SceneConfig:
     method: str = "circumsphere"
     update_threshold: float = 0.7
     cone_tolerance_deg: float = 5.0
-    two_sided: bool = True
     flat_scale: float = 1.2
     seed: int = 0
     damping: float = 0.99
@@ -135,6 +138,8 @@ class SceneConfig:
             raise SceneError("cone_tolerance_deg must be >= 0")
         if not self.flat_scale >= 1:
             raise SceneError("flat_scale must be >= 1")
+        if not self.seed >= 0:
+            raise SceneError("seed must be >= 0")
         if not 0 <= self.damping <= 1:
             raise SceneError("damping must be in [0, 1]")
         if not 0 < self.stiffness <= 1:
@@ -163,8 +168,7 @@ class CheckVolume:
 class SceneObject:
     """Bookkeeping for one object inside the global particle arrays."""
 
-    name: str
-    index: int
+    index: int                     # position in World.objects
     first_vertex: int
     num_vertices: int
     triangles: np.ndarray          # (m, 3) local vertex indices
@@ -183,7 +187,6 @@ class SceneObject:
 class World:
     """Assembled scene: global particle state plus per-object structure."""
 
-    config: SceneConfig
     state: ParticleState
     objects: List[SceneObject]
     distance_constraints: np.ndarray  # DISTANCE_DTYPE rows
@@ -192,9 +195,9 @@ class World:
         return self.state.positions[obj.vertex_slice()]
 
     def mesh_of(self, obj: SceneObject, positions: np.ndarray) -> TriangleMesh:
-        """Cheap mesh view of an object at the given global positions."""
-        return TriangleMesh(positions[obj.vertex_slice()], obj.triangles,
-                            object_id=obj.name)
+        """Cheap mesh view of an object at the given global positions; the
+        object is known by ``obj.index``, the mesh carries no identity."""
+        return TriangleMesh(positions[obj.vertex_slice()], obj.triangles)
 
 
 # ---------------------------------------------------------------------------
@@ -206,25 +209,21 @@ def build_object_mesh(spec: ObjectSpec) -> TriangleMesh:
     """Instantiate an object's mesh, wrapping mesh errors as scene errors."""
     try:
         if spec.generator == "cloth":
-            mesh = cloth_grid(spec.n, spec.spacing, spec.center,
-                              object_id=spec.name)
+            mesh = cloth_grid(spec.n, spec.spacing, spec.center)
         elif spec.generator == "icosphere":
-            mesh = icosphere(spec.subdivision, spec.radius, spec.center,
-                             object_id=spec.name)
+            mesh = icosphere(spec.subdivision, spec.radius, spec.center)
         elif spec.generator == "floor":
             mesh = plane_floor(spec.size, float(spec.center[1]),
                                (float(spec.center[0]), float(spec.center[2])),
-                               resolution=spec.resolution,
-                               object_id=spec.name)
+                               resolution=spec.resolution)
         else:
-            mesh = load_mesh(spec.mesh_path, object_id=spec.name)
+            mesh = load_mesh(spec.mesh_path)
             if np.any(spec.center != 0):
                 mesh = TriangleMesh(mesh.vertices + spec.center,
-                                    mesh.triangles, object_id=spec.name)
+                                    mesh.triangles)
             validate_mesh(mesh)
         if spec.flip_normals:
-            mesh = TriangleMesh(mesh.vertices, mesh.triangles[:, ::-1].copy(),
-                                object_id=spec.name)
+            mesh = TriangleMesh(mesh.vertices, mesh.triangles[:, ::-1].copy())
         return mesh
     except MeshError as exc:
         raise SceneError(f"object '{spec.name}': {exc}") from exc
@@ -300,11 +299,11 @@ def generate_scene(config: SceneConfig) -> World:
             noise = rng.normal(scale=spec.jitter, size=(nv, 3))
             noise[w == 0] = 0.0
             verts += noise
-            mesh = TriangleMesh(verts, mesh.triangles, object_id=spec.name)
+            mesh = TriangleMesh(verts, mesh.triangles)
         vel = np.tile(spec.velocity, (nv, 1))
         vel[w == 0] = 0.0
         objects.append(SceneObject(
-            name=spec.name, index=i, first_vertex=first, num_vertices=nv,
+            index=i, first_vertex=first, num_vertices=nv,
             triangles=mesh.triangles, static=static, check=check,
             rest_mesh=mesh))
         pos_chunks.append(verts)
@@ -316,7 +315,7 @@ def generate_scene(config: SceneConfig) -> World:
                           velocities=np.concatenate(vel_chunks),
                           inv_mass=np.concatenate(w_chunks))
     constraints = _distance_constraints(objects, state.positions)
-    return World(config=config, state=state, objects=objects,
+    return World(state=state, objects=objects,
                  distance_constraints=constraints)
 
 

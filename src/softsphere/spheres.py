@@ -78,9 +78,6 @@ class SphereSet:
         self.safety_angles = safety_angles
         self.ref_vertices = ref_vertices
 
-    def __len__(self) -> int:
-        return len(self.radii)
-
 
 def _circumcenters_bulk(a, ab, ac, ab2, ac2):
     """Circumcenters, circumradii, normals n = ab x ac and |n|^2 of triangles

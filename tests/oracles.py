@@ -9,12 +9,20 @@ geometry on (m, 3, 3) corner rows with ``np.cross``, ``einsum`` and axis
 reductions, as the library did before it gathered corners component-first;
 its column kernels must give the same bits.  The distance and collision
 references replay the solver's projections one row at a time.
+
+Two helpers only the tests need also live here: ``save_mesh``, the writer
+that ``load_mesh``'s round-trip test reads back, and ``rest_state``, a
+particle state at rest.
 """
 
 import math
-from typing import Tuple
+from pathlib import Path
+from typing import Tuple, Union
 
 import numpy as np
+
+from softsphere.mesh import TriangleMesh
+from softsphere.pbd import ParticleState
 
 
 def circumcenter(a, b, c) -> Tuple[np.ndarray, float]:
@@ -189,3 +197,20 @@ def sweep_collisions(predicted: np.ndarray, inv_mass: np.ndarray,
         p[a] += (3.0 * c / total) * inv_mass[a][:, None] * n
         p[b] -= (3.0 * c / total) * inv_mass[b][:, None] * n
     return p
+
+
+def save_mesh(mesh: TriangleMesh, path: Union[str, Path]) -> None:
+    """Write the same text format load_mesh reads."""
+    with open(path, "w") as fh:
+        for v in mesh.vertices:
+            fh.write(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
+        for t in mesh.triangles:
+            fh.write(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}\n")
+
+
+def rest_state(positions: np.ndarray, inv_mass: np.ndarray) -> ParticleState:
+    """Particles at ``positions``, predicted there too, with zero velocity."""
+    positions = np.asarray(positions, dtype=np.float64)
+    return ParticleState(positions=positions.copy(), predicted=positions.copy(),
+                         velocities=np.zeros_like(positions),
+                         inv_mass=np.asarray(inv_mass, dtype=np.float64))

@@ -333,10 +333,9 @@ def test_object_bounding_sphere_of_cube_corners():
     corners = np.array([[x, y, z] for x in (0.0, 1.0)
                         for y in (0.0, 1.0) for z in (0.0, 1.0)])
     mesh = TriangleMesh(corners, [[0, 1, 2]])
-    s = object_bounding_sphere(mesh, object_id=4)
+    s = object_bounding_sphere(mesh)
     assert np.allclose(s.center, [0.5, 0.5, 0.5], atol=1e-12)
     assert s.radius == pytest.approx(math.sqrt(3) / 2, rel=1e-12)
-    assert s.object_id == 4
 
 
 def test_object_bounding_sphere_degenerates_to_a_point():
@@ -357,25 +356,28 @@ def test_object_bounding_sphere_contains_every_vertex():
 
 def test_broad_phase_separation_and_touch():
     """Unit spheres 3 m apart stay silent, 1.5 m apart pair up, and exact
-    tangency still counts (the gate is closed)."""
-    a = BoundingSphere(center=np.zeros(3), radius=1.0, object_id=0)
-    far = BoundingSphere(center=np.array([3.0, 0.0, 0.0]), radius=1.0, object_id=1)
+    tangency still counts (the gate is closed).  A pair names the spheres
+    by their list positions."""
+    a = BoundingSphere(center=np.zeros(3), radius=1.0)
+    far = BoundingSphere(center=np.array([3.0, 0.0, 0.0]), radius=1.0)
     assert broad_phase([a, far]) == []
-    near = BoundingSphere(center=np.array([1.5, 0.0, 0.0]), radius=1.0, object_id=1)
+    near = BoundingSphere(center=np.array([1.5, 0.0, 0.0]), radius=1.0)
     pairs = broad_phase([a, near])
     assert len(pairs) == 1
     assert (pairs[0].object_a, pairs[0].object_b) == (0, 1)
-    kiss = BoundingSphere(center=np.array([2.0, 0.0, 0.0]), radius=1.0, object_id=1)
+    by_position = broad_phase([far, a, near])
+    assert [(p.object_a, p.object_b) for p in by_position] == [(0, 2), (1, 2)]
+    kiss = BoundingSphere(center=np.array([2.0, 0.0, 0.0]), radius=1.0)
     assert len(broad_phase([a, kiss])) == 1
 
 
 def test_broad_phase_enumerates_distinct_pairs_once():
     spheres = [BoundingSphere(center=np.array([float(i) * 0.5, 0.0, 0.0]),
-                              radius=1.0, object_id=i) for i in range(4)]
+                              radius=1.0) for i in range(4)]
     pairs = broad_phase(spheres)
     seen = {(p.object_a, p.object_b) for p in pairs}
     assert len(pairs) == len(seen) == 6
-    assert all(p.object_a < p.object_b for p in pairs)
+    assert seen == {(i, j) for i in range(4) for j in range(i + 1, 4)}
 
 
 # ---------------------------------------------------------------------------

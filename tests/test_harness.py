@@ -276,6 +276,8 @@ def _nameless_object_file(tmp_path):
     pytest.param(lambda _: builtin_scene("sphere-drop-on-plane", frames=2,
                                          flat_scale=math.nan),
                  "flat_scale must be >= 1", id="flat-scale-nan-override"),
+    pytest.param(lambda _: builtin_scene("sphere-drop-on-plane", seed=-1),
+                 "seed must be >= 0", id="seed-override"),
     pytest.param(lambda _: scene_of(cloth_spec(), damping=-0.01),
                  r"damping must be in \[0, 1\]", id="damping-below"),
     pytest.param(lambda _: scene_of(cloth_spec(), damping=1.01),
@@ -335,7 +337,6 @@ def test_parse_scene_file_round_trip(tmp_path):
         method = bounding-ball
         update_threshold = 0.4
         cone_tolerance_deg = 3.5
-        two_sided = false
         flat_scale = 1.3
         seed = 11
         damping = 0.97
@@ -368,7 +369,6 @@ def test_parse_scene_file_round_trip(tmp_path):
     assert config.method == "bounding-ball"
     assert config.update_threshold == 0.4
     assert config.cone_tolerance_deg == 3.5
-    assert config.two_sided is False
     assert config.flat_scale == 1.3 and config.seed == 11
     assert config.damping == 0.97 and config.stiffness == 0.8
     sheet, ball = config.objects
@@ -415,13 +415,15 @@ def test_parse_scene_file_mesh_paths_resolve_next_to_the_file(tmp_path):
     ("[scene]\n\n[lighting]\nsun = 1\n", "unexpected section"),
     ("[scene]\ngravity = 0 -5\n\n[object:c]\ngenerator = cloth\n",
      "three numbers"),
-    ("[scene]\ntwo_sided = maybe\n\n[object:c]\ngenerator = cloth\n",
+    ("[scene]\n\n[object:c]\ngenerator = cloth\nflip_normals = maybe\n",
      "boolean"),
     ("[scene]\nframes = soon\n\n[object:c]\ngenerator = cloth\n",
      "bad value"),
     ("[scene]\nself_collision = true\n\n[object:c]\ngenerator = cloth\n",
      "unknown key"),
     ("[scene]\noutput = x.csv\n\n[object:c]\ngenerator = cloth\n",
+     "unknown key"),
+    ("[scene]\ntwo_sided = false\n\n[object:c]\ngenerator = cloth\n",
      "unknown key"),
     ("[scene]\ncone_tolerance_deg = nan\n\n[object:c]\ngenerator = cloth\n",
      "bad value"),
@@ -790,6 +792,23 @@ def test_cli_malformed_scene_file_exits_2(tmp_path, capsys):
     assert "bad value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [
+    pytest.param(None, id="missing"),
+    pytest.param(b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3 # \xe9t\xe9\n",
+                 id="not-utf8"),
+])
+def test_cli_unreadable_mesh_file_exits_2(tmp_path, capsys, content):
+    mesh = tmp_path / "part.obj"
+    if content is not None:
+        mesh.write_bytes(content)
+    path = tmp_path / "scene.ini"
+    path.write_text("[scene]\nframes = 1\n\n[object:part]\n"
+                    "generator = mesh\nmesh = part.obj\n")
+    assert cli_main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "object 'part'" in err and f"cannot read mesh file {mesh}" in err
+
+
 @pytest.mark.parametrize("setting,args,message", [
     pytest.param("flat_scale = 0.5", [], "flat_scale must be >= 1",
                  id="flat-scale"),
@@ -798,6 +817,8 @@ def test_cli_malformed_scene_file_exits_2(tmp_path, capsys):
                  "cone_tolerance_deg must be >= 0", id="cone-tolerance"),
     pytest.param("", ["--d", "nan"], "update_threshold must be >= 0",
                  id="d-nan"),
+    pytest.param("seed = -3", [], "seed must be >= 0", id="seed"),
+    pytest.param("", ["--seed", "-1"], "seed must be >= 0", id="seed-flag"),
 ])
 def test_cli_value_out_of_range_or_not_finite_exits_2(tmp_path, capsys,
                                                       setting, args, message):

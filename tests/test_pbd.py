@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import softsphere.harness as harness
-from oracles import sweep_collisions, sweep_distances
+from oracles import rest_state, sweep_collisions, sweep_distances
 from softsphere.mesh import cloth_grid, icosphere
 from softsphere.pbd import (COLLISION_DTYPE, ParticleState, SolverConfig,
                             SolverInstabilityError, distance_rows, predict,
@@ -47,7 +47,7 @@ def chain(n=10, spacing=0.1, pinned_top=True):
     w = np.ones(n)
     if pinned_top:
         w[0] = 0.0
-    state = ParticleState.rest(pos, w)
+    state = rest_state(pos, w)
     cons = edge_array([(i, i + 1, spacing) for i in range(n - 1)])
     return state, cons
 
@@ -62,7 +62,7 @@ def test_particle_state_validates_shapes_and_masses():
         ParticleState(positions=np.zeros((3, 3)), predicted=np.zeros((2, 3)),
                       velocities=np.zeros((3, 3)), inv_mass=np.ones(3))
     with pytest.raises(ValueError, match=">= 0"):
-        ParticleState.rest(np.zeros((2, 3)), np.array([1.0, -1.0]))
+        rest_state(np.zeros((2, 3)), np.array([1.0, -1.0]))
 
 
 def test_constraint_and_config_validation():
@@ -137,26 +137,26 @@ def test_edge_colouring_properties_on_mesh_edges(name, seed):
 
 
 def test_predict_at_rest_without_gravity_changes_nothing():
-    state = ParticleState.rest(np.array([[1.0, 2.0, 3.0]]), np.ones(1))
+    state = rest_state(np.array([[1.0, 2.0, 3.0]]), np.ones(1))
     predict(state, SolverConfig(dt=0.1, gravity=np.zeros(3)))
     assert np.array_equal(state.predicted, state.positions)
 
 
 def test_predict_advances_with_velocity():
-    state = ParticleState.rest(np.zeros((1, 3)), np.ones(1))
+    state = rest_state(np.zeros((1, 3)), np.ones(1))
     state.velocities[0] = [1.0, 0.0, 0.0]
     predict(state, SolverConfig(dt=0.1, gravity=np.zeros(3)))
     assert np.allclose(state.predicted[0], [0.1, 0.0, 0.0], atol=1e-15)
 
 
 def test_predict_applies_gravity_as_dt_squared():
-    state = ParticleState.rest(np.zeros((1, 3)), np.ones(1))
+    state = rest_state(np.zeros((1, 3)), np.ones(1))
     predict(state, SolverConfig(dt=0.1, gravity=np.array([0.0, -10.0, 0.0])))
     assert np.allclose(state.predicted[0], [0.0, -0.1, 0.0], atol=1e-15)
 
 
 def test_predict_leaves_pinned_particles_alone():
-    state = ParticleState.rest(np.array([[5.0, 5.0, 5.0]]), np.zeros(1))
+    state = rest_state(np.array([[5.0, 5.0, 5.0]]), np.zeros(1))
     state.velocities[0] = [100.0, 0.0, 0.0]
     predict(state, SolverConfig(dt=0.1, gravity=np.array([0.0, -10.0, 0.0])))
     assert np.array_equal(state.predicted[0], [5.0, 5.0, 5.0])
@@ -173,7 +173,7 @@ def test_predict_is_exact_per_particle(n, dt, gravity, data):
     rows = arrays(np.float64, (n, 3), elements=st.floats(-1e3, 1e3))
     inv_mass = data.draw(arrays(np.float64, n,
                                 elements=st.sampled_from((0.0, 0.5, 3.0))))
-    state = ParticleState.rest(data.draw(rows), inv_mass)
+    state = rest_state(data.draw(rows), inv_mass)
     state.velocities[:] = data.draw(rows)
     state.predicted[:] = np.nan
     positions = state.positions.copy()
@@ -208,8 +208,8 @@ def _project_once(state, edges, collisions, stiffness=1.0) -> np.ndarray:
 def test_project_distance_splits_symmetrically():
     """An edge at twice its rest length with equal masses: each endpoint
     moves half the violation toward the other."""
-    state = ParticleState.rest(np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]),
-                               np.ones(2))
+    state = rest_state(np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]),
+                       np.ones(2))
     moved = _project_once(state, edge_array([(0, 1, 1.0)]), [])
     assert np.allclose(moved[0], [0.5, 0.0, 0.0], atol=1e-15)
     assert np.allclose(moved[1], [-0.5, 0.0, 0.0], atol=1e-15)
@@ -218,30 +218,30 @@ def test_project_distance_splits_symmetrically():
 
 
 def test_project_distance_pinned_end_pushes_the_free_one_fully():
-    state = ParticleState.rest(np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]),
-                               np.array([0.0, 1.0]))
+    state = rest_state(np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]),
+                       np.array([0.0, 1.0]))
     moved = _project_once(state, edge_array([(0, 1, 1.0)]), [])
     assert np.array_equal(moved[0], np.zeros(3))
     assert np.allclose(moved[1], [-1.0, 0.0, 0.0], atol=1e-15), "full violation"
 
 
 def test_project_distance_at_rest_is_zero():
-    state = ParticleState.rest(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
-                               np.ones(2))
+    state = rest_state(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+                       np.ones(2))
     moved = _project_once(state, edge_array([(0, 1, 1.0)]), [])
     assert np.array_equal(moved, np.zeros((2, 3)))
 
 
 def test_project_distance_both_pinned_is_zero():
-    state = ParticleState.rest(np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]]),
-                               np.zeros(2))
+    state = rest_state(np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]]),
+                       np.zeros(2))
     moved = _project_once(state, edge_array([(0, 1, 1.0)]), [])
     assert np.array_equal(moved, np.zeros((2, 3)))
 
 
 def test_project_distance_scales_with_stiffness():
-    state = ParticleState.rest(np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]),
-                               np.ones(2))
+    state = rest_state(np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]),
+                       np.ones(2))
     moved = _project_once(state, edge_array([(0, 1, 1.0)]), [],
                           stiffness=0.5)
     assert np.allclose(moved[0], [0.25, 0.0, 0.0], atol=1e-15)
@@ -267,7 +267,7 @@ def test_solve_step_sweep_equals_sequential_project_distance(stiffness):
     assert not np.array_equal(edges["rest_length"], rest), "rows reordered"
     assert np.any((inv_mass[i] == 0) & (inv_mass[j] == 0))
     assert np.any((inv_mass[i] == 0) != (inv_mass[j] == 0))
-    state = ParticleState.rest(pos, inv_mass)
+    state = rest_state(pos, inv_mass)
     expect = sweep_distances(pos, inv_mass, edges, stiffness)
     moved = _project_once(state, edges, [], stiffness=stiffness)
     assert np.any(moved != 0.0)
@@ -314,7 +314,7 @@ def _two_triangle_contact(gap, w_a=1.0, w_b=1.0, r=0.5):
     pos = np.concatenate([tri, tri + np.array([gap, 0.0, 0.0])])
     centroid = tri.mean(axis=0)
     inv = np.concatenate([np.full(3, w_a), np.full(3, w_b)])
-    state = ParticleState.rest(pos, inv)
+    state = rest_state(pos, inv)
     con = np.zeros(1, dtype=COLLISION_DTYPE)
     con["particles"] = [0, 1, 2, 3, 4, 5]
     con["offsets"] = [-centroid, -centroid]  # centers at the first vertices
@@ -406,7 +406,7 @@ def test_solve_step_without_constraints_is_ballistic():
     rng = np.random.default_rng(4)
     pos = rng.normal(size=(20, 3))
     vel = rng.normal(size=(20, 3))
-    state = ParticleState.rest(pos, np.ones(20))
+    state = rest_state(pos, np.ones(20))
     state.velocities[:] = vel
     config = SolverConfig(dt=0.05, iterations=5, gravity=np.zeros(3),
                           damping=1.0)
@@ -419,7 +419,7 @@ def test_solve_step_without_constraints_is_ballistic():
 
 
 def test_solve_step_gravity_accumulates_in_velocity():
-    state = ParticleState.rest(np.zeros((1, 3)), np.ones(1))
+    state = rest_state(np.zeros((1, 3)), np.ones(1))
     config = SolverConfig(dt=0.1, iterations=1,
                           gravity=np.array([0.0, -10.0, 0.0]), damping=1.0)
     predict(state, config)
@@ -431,8 +431,8 @@ def test_solve_step_gravity_accumulates_in_velocity():
 def test_solve_step_trace_contracts_an_overstretched_edge():
     """With partial stiffness each sweep shrinks the violation by the same
     factor, so the per-sweep trace decreases strictly to the final value."""
-    state = ParticleState.rest(np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]),
-                               np.ones(2))
+    state = rest_state(np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]),
+                       np.ones(2))
     cons = edge_array([(0, 1, 1.0)])
     config = SolverConfig(dt=0.1, iterations=10, gravity=np.zeros(3),
                           stiffness=0.5, damping=1.0)
@@ -462,7 +462,7 @@ def test_solve_step_momentum_is_conserved_by_internal_constraints():
     step across 200 steps."""
     rng = np.random.default_rng(9)
     pos = rng.normal(size=(12, 3))
-    state = ParticleState.rest(pos, np.ones(12))
+    state = rest_state(pos, np.ones(12))
     state.velocities[:] = rng.normal(size=(12, 3)) + np.array([1.0, 0.5, 0.0])
     cons = edge_array([(i, j, float(np.linalg.norm(pos[i] - pos[j])
                                     * rng.uniform(0.7, 1.3)))
@@ -541,7 +541,7 @@ def test_solve_step_is_deterministic_bit_for_bit():
 
 
 def test_solver_instability_error_carries_the_frame():
-    state = ParticleState.rest(np.zeros((1, 3)), np.ones(1))
+    state = rest_state(np.zeros((1, 3)), np.ones(1))
     state.velocities[0] = [math.nan, 0.0, 0.0]
     config = SolverConfig(dt=0.1, iterations=1)
     predict(state, config)
@@ -552,7 +552,7 @@ def test_solver_instability_error_carries_the_frame():
 
 
 def test_damping_scales_velocities():
-    state = ParticleState.rest(np.zeros((1, 3)), np.ones(1))
+    state = rest_state(np.zeros((1, 3)), np.ones(1))
     state.velocities[0] = [1.0, 0.0, 0.0]
     config = SolverConfig(dt=0.1, iterations=1, gravity=np.zeros(3),
                           damping=0.9)

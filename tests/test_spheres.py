@@ -364,7 +364,7 @@ def test_build_sphere_set_matches_scalar_path():
     for curvature in (compute_curvature(mesh),
                       np.linspace(-3.0 * kt, 3.0 * kt, mesh.num_triangles)):
         sset = build_sphere_set(mesh, curvature, params)
-        assert len(sset) == mesh.num_triangles
+        assert len(sset.radii) == mesh.num_triangles
         for tri, pts in enumerate(mesh.vertices[mesh.triangles]):
             _, r_c = circumcenter(*pts)
             r = radius_law(r_c, float(curvature[tri]), params)
@@ -458,7 +458,7 @@ def test_update_threshold_gates_on_strict_excess():
 
     eager = SphereParams(k_threshold=1.0, update_threshold_d=0.0)
     n = update_spheres(sset, moved, eager, curvature)
-    assert n == len(sset)
+    assert n == len(sset.radii)
     assert np.array_equal(sset.ref_vertices, moved.corners)
 
 
@@ -471,7 +471,7 @@ def test_update_rebuild_is_idempotent():
                          mesh.triangles)
     eager = SphereParams(k_threshold=1.0, update_threshold_d=0.0)
     first = update_spheres(sset, moved, eager, curvature)
-    assert first == len(sset)
+    assert first == len(sset.radii)
     rebuilt_refs = sset.ref_vertices.copy()
     second = update_spheres(sset, moved, eager, curvature)
     assert second == 0
