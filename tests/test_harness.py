@@ -423,7 +423,7 @@ def test_parse_scene_file_mesh_paths_resolve_next_to_the_file(tmp_path):
      "unknown key"),
     ("[scene]\noutput = x.csv\n\n[object:c]\ngenerator = cloth\n",
      "unknown key"),
-    ("[scene]\ntwo_sided = false\n\n[object:c]\ngenerator = cloth\n",
+    ("[scene]\ntwo_sided = maybe\n\n[object:c]\ngenerator = cloth\n",
      "unknown key"),
     ("[scene]\ncone_tolerance_deg = nan\n\n[object:c]\ngenerator = cloth\n",
      "bad value"),
