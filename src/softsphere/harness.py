@@ -65,8 +65,6 @@ DET_FIELDS = tuple(f for f in CSV_FIELDS if not f.endswith("_time_s"))
 
 @dataclass
 class RunResult:
-    config: SceneConfig
-    world: World
     metrics: List[FrameMetrics]
 
     def column(self, name: str) -> np.ndarray:
@@ -361,7 +359,7 @@ def run_scene(config: SceneConfig,
             prev_positions = state.positions.copy()
     finally:
         reporter.close()
-    return RunResult(config=config, world=world, metrics=metrics)
+    return RunResult(metrics=metrics)
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,12 @@ consumes those arrays directly, so meshes stay cheap to re-wrap around
 per-frame predicted positions.
 
 Edge adjacency is one ``(nt, 3)`` table from :func:`triangle_neighbors`: the
-triangle across each edge, or -1 on the boundary.  Curvature is estimated on
-the dual mesh that table implies: one dual vertex per triangle (its
-centroid), one dual edge per interior primal edge.  The Gaussian curvature at
-a dual vertex x is the angle deficit of its dual fan divided by the
-barycentric share of the adjacent face area:
+triangle across each edge, or -1 on the boundary, found by sorting one
+integer key per edge.  Curvature is estimated on the dual mesh that table
+implies: one dual vertex per triangle (its centroid), one dual edge per
+interior primal edge.  The Gaussian curvature at a dual vertex x is the
+angle deficit of its dual fan divided by the barycentric share of the
+adjacent face area:
 
     K(x) = (2*pi - sum(alpha_i)) / (A(x) / 3)
 
@@ -219,23 +220,26 @@ def triangle_neighbors(triangles: np.ndarray) -> np.ndarray:
     """Edge-neighbour table, shape (nt, 3).
 
     Entry ``[t, e]`` is the triangle across edge e of t (edges are (i,j),
-    (j,k), (k,i) in corner order), or -1 on the boundary.  The 3*nt edge keys
-    are lexsorted so the two sides of an interior edge sit next to each
-    other.  Raises MeshError for a non-manifold edge (shared by three or more
-    triangles), naming the smallest such edge.
+    (j,k), (k,i) in corner order), or -1 on the boundary.  Each of the
+    3*nt edges gets one key lo * (max + 1) + hi from its smaller and larger
+    vertex id, and a stable argsort of the keys puts the two sides of an
+    interior edge next to each other.  Raises MeshError for a non-manifold
+    edge (shared by three or more triangles), naming the smallest such edge.
     """
     tris = np.asarray(triangles, dtype=np.int64)
-    keys = np.sort(np.stack([tris, np.roll(tris, -1, axis=1)], axis=2),
-                   axis=2).reshape(-1, 2)            # row 3*t + e
-    order = np.lexsort((keys[:, 1], keys[:, 0]))
+    ends = np.roll(tris, -1, axis=1)
+    base = int(tris.max(initial=-1)) + 1
+    keys = (np.minimum(tris, ends) * base
+            + np.maximum(tris, ends)).ravel()         # row 3*t + e
+    order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
-    same = (sorted_keys[1:] == sorted_keys[:-1]).all(axis=1)
+    same = sorted_keys[1:] == sorted_keys[:-1]
     triple = np.nonzero(same[1:] & same[:-1])[0]
     if triple.size:
-        lo, hi = sorted_keys[triple[0]]
-        count = int((sorted_keys == (lo, hi)).all(axis=1).sum())
-        raise MeshError(f"non-manifold edge ({int(lo)}, {int(hi)}) "
-                        f"shared by {count} triangles")
+        key = sorted_keys[triple[0]]
+        count = int((sorted_keys == key).sum())
+        raise MeshError(f"non-manifold edge ({int(key // base)}, "
+                        f"{int(key % base)}) shared by {count} triangles")
     first = order[:-1][same]
     second = order[1:][same]
     nbr = np.full(3 * len(tris), -1, dtype=np.int64)
@@ -305,39 +309,48 @@ def icosphere(subdivision: int, radius: float = 1.0,
     vertices to the sphere in a single final pass.  The one-shot projection
     grades triangle sizes smoothly across the surface, which keeps the
     angle-deficit curvature estimate tight on the generated spheres.
+
+    Each level splits every face (i, j, k) into (i, a, c), (j, b, a),
+    (k, c, b), (a, b, c), with a, b, c the midpoints of its edges (i, j),
+    (j, k), (k, i).  The level's edges form one table, three rows per face
+    in face order; a midpoint is 0.5 * (V[i] + V[j]), and new vertices are
+    numbered in the order the table first meets their edge.
     """
     if subdivision < 0:
         raise MeshError("subdivision must be >= 0")
-    verts = [v.copy() for v in _ICO_VERTS]
-    faces = list(_ICO_FACES)
+    V = _ICO_VERTS.copy()
+    F = np.array(_ICO_FACES, dtype=np.int64)
     for _ in range(subdivision):
-        cache = {}
-        next_faces = []
-
-        def midpoint(i: int, j: int) -> int:
-            key = (i, j) if i < j else (j, i)
-            if key not in cache:
-                verts.append(0.5 * (verts[i] + verts[j]))
-                cache[key] = len(verts) - 1
-            return cache[key]
-
-        for (i, j, k) in faces:
-            a = midpoint(i, j)
-            b = midpoint(j, k)
-            c = midpoint(k, i)
-            next_faces.extend([(i, a, c), (j, b, a), (k, c, b), (a, b, c)])
-        faces = next_faces
-    V = np.array(verts)
+        nv = len(V)
+        edges = np.stack([F, np.roll(F, -1, axis=1)], axis=2).reshape(-1, 2)
+        keys = (np.minimum(edges[:, 0], edges[:, 1]) * nv
+                + np.maximum(edges[:, 0], edges[:, 1]))
+        _, first, inverse = np.unique(keys, return_index=True,
+                                      return_inverse=True)
+        met = np.argsort(first)             # unique edges in meeting order
+        rank = np.empty(len(first), dtype=np.int64)
+        rank[met] = np.arange(len(first))
+        ends = edges[first[met]]
+        V = np.concatenate([V, 0.5 * (V[ends[:, 0]] + V[ends[:, 1]])])
+        a, b, c = (nv + rank[inverse]).reshape(-1, 3).T
+        i, j, k = F.T
+        F = np.stack([i, a, c, j, b, a, k, c, b, a, b, c],
+                     axis=1).reshape(-1, 3)
     V /= np.linalg.norm(V, axis=1, keepdims=True)
     V = V * radius + np.asarray(center, dtype=np.float64)
-    mesh = TriangleMesh(V, np.array(faces, dtype=np.int64))
+    mesh = TriangleMesh(V, F)
     validate_mesh(mesh)
     return mesh
 
 
 def cloth_grid(n: int, spacing: float,
                center: Sequence[float] = (0.0, 0.0, 0.0)) -> TriangleMesh:
-    """Flat n x n vertex grid in the xz-plane, 2*(n-1)^2 triangles, +y normals."""
+    """Flat n x n vertex grid in the xz-plane, 2*(n-1)^2 triangles, +y normals.
+
+    Vertex r * n + c sits at column c (x) and row r (z); cell (r, c) is the
+    triangles (v00, v10, v11) and (v00, v11, v01), counter-clockwise seen
+    from +y, with v00 = r * n + c, v01 = v00 + 1, v10 = v00 + n.
+    """
     if n < 2:
         raise MeshError("cloth grid needs n >= 2")
     cx, cy, cz = center
@@ -345,20 +358,14 @@ def cloth_grid(n: int, spacing: float,
     xs = np.linspace(-half, half, n) + cx
     zs = np.linspace(-half, half, n) + cz
     V = np.empty((n * n, 3))
-    for r in range(n):
-        for c in range(n):
-            V[r * n + c] = (xs[c], cy, zs[r])
-    tris = []
-    for r in range(n - 1):
-        for c in range(n - 1):
-            v00 = r * n + c
-            v01 = v00 + 1
-            v10 = v00 + n
-            v11 = v10 + 1
-            # counter-clockwise seen from +y (x right, z toward viewer)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    mesh = TriangleMesh(V, np.array(tris, dtype=np.int64))
+    V[:, 0] = np.tile(xs, n)
+    V[:, 1] = cy
+    V[:, 2] = np.repeat(zs, n)
+    v00 = (np.arange(n - 1)[:, None] * n + np.arange(n - 1)).ravel()
+    v10 = v00 + n
+    tris = np.stack([v00, v10, v10 + 1, v00, v10 + 1, v00 + 1],
+                    axis=1).reshape(-1, 3)
+    mesh = TriangleMesh(V, tris)
     validate_mesh(mesh)
     return mesh
 

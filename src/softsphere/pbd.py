@@ -9,13 +9,14 @@ and finally recovers velocities from the position change.
 Constraints:
 
 * distance constraints keep mesh edges at rest length (cloth structure,
-  deformable-body stiffness).  They arrive as one ``DISTANCE_DTYPE`` array,
-  a row per unique edge, built once at scene assembly by ``distance_rows``,
-  which colours the edges so that no particle appears twice within a
-  colour and sorts the rows colour by colour.  That row order is the
-  Gauss-Seidel order; each colour is projected in one vector pass, which
-  equals projecting its rows one after another because they share no
-  particle.  ``SolverConfig.stiffness`` scales every row;
+  deformable-body stiffness).  They are one ``DISTANCE_DTYPE`` array, a
+  row per unique edge, from ``distance_rows``, which colours the edges so
+  that no particle appears twice within a colour and sorts the rows colour
+  by colour.  That row order is the Gauss-Seidel order; each colour is
+  projected in one vector pass, which equals projecting its rows one after
+  another because they share no particle.  The rows arrive wrapped in a
+  ``DistancePasses``, which builds those passes with the inverse masses
+  once, at scene assembly.  ``SolverConfig.stiffness`` scales every row;
 * collision constraints keep two contact spheres separated; sphere centers
   are treated as rigid offsets from their triangle centroids, so pushing the
   six involved particles moves the spheres apart.  They arrive as one
@@ -141,28 +142,40 @@ def predict(state: ParticleState, config: SolverConfig) -> None:
 _ROW = np.dtype((np.void, 24))
 
 
-def _colour_passes(edges: np.ndarray, w: np.ndarray) -> List[tuple]:
-    """Per colour: both ends' ids in one index (all i, then all j), rest
-    lengths, inverse-mass sums, the signed end weights -w_i and w_j, each
-    repeated per coordinate into a (2, 3m) array, and the colour's rows
-    [lo, hi) among the rows kept.  Rows with both ends pinned never move
-    and are left out."""
-    wi = w[edges["i"]]
-    wj = w[edges["j"]]
-    keep = wi + wj > 0.0
-    i = edges["i"][keep]
-    j = edges["j"][keep]
-    rest = edges["rest_length"][keep]
-    colour = edges["colour"][keep]
-    wi = wi[keep]
-    wj = wj[keep]
-    ends = np.stack((-wi, wj))
-    signed = np.stack((ends, ends, ends), axis=2).reshape(2, -1)
-    bounds = np.searchsorted(colour, np.arange(colour.max(initial=-1) + 2))
-    return [(np.concatenate((i[lo:hi], j[lo:hi])), rest[lo:hi],
-             wi[lo:hi] + wj[lo:hi], signed[:, 3 * lo:3 * hi], lo, hi)
-            for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())
-            if lo < hi]
+class DistancePasses:
+    """A scene's ``DISTANCE_DTYPE`` rows and their colour passes, built
+    once from the rows and the particles' inverse masses, which stay fixed
+    for the run; ``len()`` is the row count.
+
+    Per colour, ``passes`` holds both ends' ids in one index (all i, then
+    all j), rest lengths, inverse-mass sums, the signed end weights -w_i
+    and w_j, each repeated per coordinate into a (2, 3m) array, and the
+    colour's rows [lo, hi) among the rows kept.  Rows with both ends pinned
+    never move and are left out."""
+
+    def __init__(self, rows: np.ndarray, inv_mass: np.ndarray) -> None:
+        self.rows = rows
+        wi = inv_mass[rows["i"]]
+        wj = inv_mass[rows["j"]]
+        keep = wi + wj > 0.0
+        i = rows["i"][keep]
+        j = rows["j"][keep]
+        rest = rows["rest_length"][keep]
+        colour = rows["colour"][keep]
+        wi = wi[keep]
+        wj = wj[keep]
+        ends = np.stack((-wi, wj))
+        signed = np.stack((ends, ends, ends), axis=2).reshape(2, -1)
+        bounds = np.searchsorted(colour, np.arange(colour.max(initial=-1) + 2))
+        self.passes = [(np.concatenate((i[lo:hi], j[lo:hi])), rest[lo:hi],
+                        wi[lo:hi] + wj[lo:hi], signed[:, 3 * lo:3 * hi],
+                        lo, hi)
+                       for lo, hi in zip(bounds[:-1].tolist(),
+                                         bounds[1:].tolist())
+                       if lo < hi]
+
+    def __len__(self) -> int:
+        return len(self.rows)
 
 
 def _distance_sweep(p: np.ndarray, passes: List[tuple], k: float) -> float:
@@ -190,14 +203,15 @@ def _distance_sweep(p: np.ndarray, passes: List[tuple], k: float) -> float:
 
 
 def solve_step(state: ParticleState,
-               distance_constraints: np.ndarray,
+               distance_constraints: DistancePasses,
                collisions: np.ndarray,
                config: SolverConfig, frame: int = 0) -> List[float]:
     """Gauss-Seidel sweeps, then commit positions and update velocities.
 
-    ``distance_constraints`` holds one ``DISTANCE_DTYPE`` row per edge; each
-    projection closes ``config.stiffness`` of the edge's violation
-    C = |p_i - p_j| - rest_length, split by inverse mass.  ``collisions``
+    ``distance_constraints`` holds one ``DISTANCE_DTYPE`` row per edge with
+    its colour passes, built for ``state.inv_mass``; each projection closes
+    ``config.stiffness`` of the edge's violation C = |p_i - p_j| -
+    rest_length, split by inverse mass.  ``collisions``
     holds one ``COLLISION_DTYPE`` row per contact.  Each collision removes
     its violation C = |c_b - c_a| - (r_a + r_b) by moving the two sides
     apart along the current center line, split by inverse-mass sums and
@@ -213,8 +227,7 @@ def solve_step(state: ParticleState,
     each sweep.  Raises SolverInstabilityError when positions go non-finite.
     """
     p = state.predicted
-    passes = _colour_passes(
-        np.asarray(distance_constraints, dtype=DISTANCE_DTYPE), state.inv_mass)
+    passes = distance_constraints.passes
     contacts = (_ContactSweep(collisions, state.inv_mass)
                 if len(collisions) else None)
     trace: List[float] = []

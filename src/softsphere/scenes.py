@@ -10,7 +10,8 @@ built-in constructors at the bottom of this module.
 state covering all objects, per-object index bookkeeping, and the distance
 constraints that give deformable meshes their structure.  Those are one
 ``DISTANCE_DTYPE`` array, a row per unique edge, coloured and built once
-here; the solver projects its rows colour by colour.
+here, and wrapped with the inverse masses in the ``DistancePasses`` that
+the solver projects colour by colour.
 
 An object's name (its section title) appears only in error messages.  In
 the World an object is its position in ``World.objects``, the index that
@@ -32,7 +33,7 @@ import numpy as np
 from .mesh import (MeshError, TriangleMesh, cloth_grid, icosphere, load_mesh,
                    plane_floor, triangle_neighbors, triangle_normals,
                    validate_mesh)
-from .pbd import ParticleState, distance_rows
+from .pbd import DistancePasses, ParticleState, distance_rows
 
 
 class SceneError(Exception):
@@ -88,6 +89,8 @@ class ObjectSpec:
                              f"'{self.generator}' (expected one of {GENERATORS})")
         if self.generator == "mesh" and not self.mesh_path:
             raise SceneError(f"object '{self.name}': generator 'mesh' needs a path")
+        if not self.radius > 0:
+            raise SceneError(f"object '{self.name}': radius must be > 0")
         if not self.mass >= 0:
             raise SceneError(f"object '{self.name}': mass must be >= 0")
         if not self.jitter >= 0:
@@ -189,7 +192,7 @@ class World:
 
     state: ParticleState
     objects: List[SceneObject]
-    distance_constraints: np.ndarray  # DISTANCE_DTYPE rows
+    distance_constraints: DistancePasses
 
     def positions_of(self, obj: SceneObject) -> np.ndarray:
         return self.state.positions[obj.vertex_slice()]
@@ -314,7 +317,8 @@ def generate_scene(config: SceneConfig) -> World:
     state = ParticleState(positions=positions, predicted=positions.copy(),
                           velocities=np.concatenate(vel_chunks),
                           inv_mass=np.concatenate(w_chunks))
-    constraints = _distance_constraints(objects, state.positions)
+    constraints = DistancePasses(
+        _distance_constraints(objects, state.positions), state.inv_mass)
     return World(state=state, objects=objects,
                  distance_constraints=constraints)
 
@@ -329,9 +333,9 @@ def _distance_constraints(objects: Sequence[SceneObject],
     for obj in objects:
         if not obj.static:
             t = obj.global_triangles()
-            edges = np.concatenate([t[:, (0, 1)], t[:, (1, 2)], t[:, (2, 0)]])
-            edges.sort(axis=1)
-            keys.append(np.unique(edges[:, 0] * nv + edges[:, 1]))
+            ends = np.roll(t, -1, axis=1)
+            keys.append(np.unique(np.minimum(t, ends) * nv
+                                  + np.maximum(t, ends)))
     i, j = np.divmod(np.concatenate(keys), nv)
     return distance_rows(i, j, np.linalg.norm(positions[i] - positions[j],
                                               axis=1))

@@ -10,6 +10,12 @@ reductions, as the library did before it gathered corners component-first;
 its column kernels must give the same bits.  The distance and collision
 references replay the solver's projections one row at a time.
 
+The mesh references are the loop forms of the generators and of the edge
+table: ``icosphere`` numbers each midpoint through a dict of edges as faces
+meet it, ``cloth_grid`` fills the grid one vertex and one cell at a time,
+and ``triangle_neighbors`` pairs the sides of each edge through a dict; the
+vectorized ``softsphere.mesh`` forms must give the same arrays bit for bit.
+
 Two helpers only the tests need also live here: ``save_mesh``, the writer
 that ``load_mesh``'s round-trip test reads back, and ``rest_state``, a
 particle state at rest.
@@ -17,11 +23,11 @@ particle state at rest.
 
 import math
 from pathlib import Path
-from typing import Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from softsphere.mesh import TriangleMesh
+from softsphere.mesh import _ICO_FACES, _ICO_VERTS, MeshError, TriangleMesh
 from softsphere.pbd import ParticleState
 
 
@@ -197,6 +203,84 @@ def sweep_collisions(predicted: np.ndarray, inv_mass: np.ndarray,
         p[a] += (3.0 * c / total) * inv_mass[a][:, None] * n
         p[b] -= (3.0 * c / total) * inv_mass[b][:, None] * n
     return p
+
+
+def icosphere(subdivision: int, radius: float = 1.0,
+              center: Sequence[float] = (0.0, 0.0, 0.0)
+              ) -> Tuple[np.ndarray, np.ndarray]:
+    """Vertices and triangles of the geodesic sphere, one face at a time:
+    each edge's midpoint is made the first time a face meets the edge."""
+    verts = [v.copy() for v in _ICO_VERTS]
+    faces = list(_ICO_FACES)
+    for _ in range(subdivision):
+        cache = {}
+        next_faces = []
+
+        def midpoint(i: int, j: int) -> int:
+            key = (i, j) if i < j else (j, i)
+            if key not in cache:
+                verts.append(0.5 * (verts[i] + verts[j]))
+                cache[key] = len(verts) - 1
+            return cache[key]
+
+        for (i, j, k) in faces:
+            a = midpoint(i, j)
+            b = midpoint(j, k)
+            c = midpoint(k, i)
+            next_faces.extend([(i, a, c), (j, b, a), (k, c, b), (a, b, c)])
+        faces = next_faces
+    V = np.array(verts)
+    V /= np.linalg.norm(V, axis=1, keepdims=True)
+    V = V * radius + np.asarray(center, dtype=np.float64)
+    return V, np.array(faces, dtype=np.int64)
+
+
+def cloth_grid(n: int, spacing: float,
+               center: Sequence[float] = (0.0, 0.0, 0.0)
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """Vertices and triangles of the flat n x n grid, one vertex and one
+    cell at a time."""
+    cx, cy, cz = center
+    half = 0.5 * spacing * (n - 1)
+    xs = np.linspace(-half, half, n) + cx
+    zs = np.linspace(-half, half, n) + cz
+    V = np.empty((n * n, 3))
+    for r in range(n):
+        for c in range(n):
+            V[r * n + c] = (xs[c], cy, zs[r])
+    tris = []
+    for r in range(n - 1):
+        for c in range(n - 1):
+            v00 = r * n + c
+            v01 = v00 + 1
+            v10 = v00 + n
+            v11 = v10 + 1
+            tris.append((v00, v10, v11))
+            tris.append((v00, v11, v01))
+    return V, np.array(tris, dtype=np.int64)
+
+
+def triangle_neighbors(triangles: np.ndarray) -> np.ndarray:
+    """The (nt, 3) edge-neighbour table through a dict from each sorted
+    edge to the (triangle, edge) slots that hold it; the MeshError of a
+    non-manifold edge names the smallest one and its count."""
+    slots: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+    for t, tri in enumerate(np.asarray(triangles).tolist()):
+        for e in range(3):
+            a, b = tri[e], tri[(e + 1) % 3]
+            slots.setdefault((min(a, b), max(a, b)), []).append((t, e))
+    crowded = sorted(edge for edge, held in slots.items() if len(held) > 2)
+    if crowded:
+        lo, hi = crowded[0]
+        raise MeshError(f"non-manifold edge ({lo}, {hi}) shared by "
+                        f"{len(slots[crowded[0]])} triangles")
+    nbr = np.full((len(triangles), 3), -1, dtype=np.int64)
+    for held in slots.values():
+        if len(held) == 2:
+            (t, e), (u, f) = held
+            nbr[t, e] = u
+            nbr[u, f] = t
+    return nbr
 
 
 def save_mesh(mesh: TriangleMesh, path: Union[str, Path]) -> None:

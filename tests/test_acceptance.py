@@ -278,11 +278,11 @@ def cloth_drop_run():
         trail.append(world.state.positions[corner_ids].copy())
 
     result = run_scene(config, frame_hook=record)
-    return result, corner_ids, np.stack(trail)
+    return config, result, corner_ids, np.stack(trail)
 
 
 def test_criterion_8_cloth_drop_never_tunnels(cloth_drop_run):
-    result, _, _ = cloth_drop_run
+    _, result, _, _ = cloth_drop_run
     tunneled = result.column("tunneled_vertices")
     contacts = result.column("validated_contacts")
     ok = (len(tunneled) == 300 and tunneled[-1] == 0
@@ -327,8 +327,8 @@ def test_criterion_9_conservation_and_determinism(cloth_drop_run, tmp_path):
     momentum_ok = rel_step <= 1e-6 and contact_frames > 0
 
     # pinning: the cloth drop's corners never move, bit for bit
-    result, corner_ids, trail = cloth_drop_run
-    rest = generate_scene(result.config).state.positions[corner_ids]
+    cloth_config, _, corner_ids, trail = cloth_drop_run
+    rest = generate_scene(cloth_config).state.positions[corner_ids]
     pinned_ok = bool(np.all(trail == rest[None]))
 
     # determinism: identical config and seed give byte-identical companions

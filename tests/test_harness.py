@@ -7,6 +7,7 @@ assertions do not depend on the code under test for their expected values.
 
 import math
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -203,7 +204,7 @@ def test_generate_scene_constraints_cover_unique_edges_of_deformables():
     t = world.objects[0].global_triangles()
     edges = np.concatenate([t[:, (0, 1)], t[:, (1, 2)], t[:, (2, 0)]])
     unique = np.unique(np.sort(edges, axis=1), axis=0)
-    cons = world.distance_constraints
+    cons = world.distance_constraints.rows
     assert len(cons) == len(unique), "static adds none"
     seen = set(zip(cons["i"].tolist(), cons["j"].tolist()))
     assert len(seen) == len(unique)
@@ -296,6 +297,11 @@ def _nameless_object_file(tmp_path):
                  "jitter must be >= 0", id="jitter"),
     pytest.param(lambda _: cloth_spec(jitter=math.nan),
                  "jitter must be >= 0", id="jitter-nan"),
+    pytest.param(lambda _: replace(
+        builtin_scene("sphere-drop-on-plane").objects[0], radius=-0.3),
+                 "radius must be > 0", id="radius-negative-builtin"),
+    pytest.param(lambda _: ball_spec(radius=0.0),
+                 "radius must be > 0", id="radius-zero"),
     pytest.param(lambda _: cloth_spec(center=(math.inf, 0.0, 0.0)),
                  "center must be finite", id="center-inf"),
     pytest.param(lambda _: cloth_spec(velocity=np.array([0.0, math.nan, 0.0])),
@@ -429,6 +435,8 @@ def test_parse_scene_file_mesh_paths_resolve_next_to_the_file(tmp_path):
      "bad value"),
     ("[scene]\ndt = inf\n\n[object:c]\ngenerator = cloth\n", "bad value"),
     ("[scene]\n\n[object:c]\ngenerator = cloth\nmass = nan\n", "bad value"),
+    ("[scene]\n\n[object:b]\ngenerator = icosphere\nradius = -0.3\n",
+     "radius must be > 0"),
     ("[scene]\ngravity = 0 nan 0\n\n[object:c]\ngenerator = cloth\n",
      "three numbers"),
     ("[scene]\n\n[object:c]\ngenerator = cloth\ncenter = -inf 0 0\n",
@@ -643,15 +651,15 @@ def test_run_scene_frame_hook_sees_every_predicted_frame():
     seen = []
 
     def hook(frame, world, row, predicted):
-        seen.append((frame, predicted.copy(), row.frame))
+        seen.append((frame, predicted.copy(), row.frame,
+                     len(world.state.positions)))
 
     config = _static_pair_config()
     config = SceneConfig(objects=config.objects, frames=3)
-    result = run_scene(config, frame_hook=hook)
+    run_scene(config, frame_hook=hook)
     assert [s[0] for s in seen] == [0, 1, 2]
     assert all(s[0] == s[2] for s in seen)
-    n = len(result.world.state.positions)
-    assert all(s[1].shape == (n, 3) for s in seen)
+    assert all(s[1].shape == (s[3], 3) for s in seen)
 
 
 def test_run_scene_cloth_settles_on_ball_without_tunneling():

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import save_mesh
 from softsphere.mesh import (MeshError, TriangleMesh, bbox_diagonal,
                              cloth_grid, compute_curvature, icosphere,
@@ -153,6 +154,36 @@ def test_icosphere_vertices_on_sphere_and_normals_outward():
     assert np.all(outward > 0), "every face normal must point away from center"
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("subdivision", range(6))
+@pytest.mark.parametrize("radius,center", [
+    (1.0, (0.0, 0.0, 0.0)), (0.5, (-0.56, 0.0, 0.0)),
+    (0.3, (0.0, 1.0, 0.0)), (2.7, (1e3, -3.25, 0.1))])
+def test_icosphere_equals_the_loop_oracle_bit_for_bit(subdivision, radius,
+                                                      center):
+    mesh = icosphere(subdivision, radius, center)
+    V, F = oracles.icosphere(subdivision, radius, center)
+    assert same_bits(mesh.vertices, V)
+    assert same_bits(mesh.triangles, F)
+
+
+@pytest.mark.parametrize("n", range(2, 26))
+def test_cloth_grid_and_floor_equal_the_loop_oracle_bit_for_bit(n):
+    for spacing, center in ((0.06, (0.0, 0.62, 0.0)),
+                            (0.37, (-1.5, 2.0, 1e2))):
+        mesh = cloth_grid(n, spacing, center)
+        V, F = oracles.cloth_grid(n, spacing, center)
+        assert same_bits(mesh.vertices, V)
+        assert same_bits(mesh.triangles, F)
+    floor = plane_floor(2.0, -0.25, (0.5, 0.0), resolution=n - 1)
+    V, F = oracles.cloth_grid(n, 2.0 / (n - 1), (0.5, -0.25, 0.0))
+    assert same_bits(floor.vertices, V)
+    assert same_bits(floor.triangles, F)
+
+
 def test_cloth_grid_counts_and_plane():
     mesh = cloth_grid(20, 0.05)
     assert mesh.num_vertices == 400
@@ -211,6 +242,51 @@ def test_adjacency_non_manifold_edge_is_named():
     with pytest.raises(MeshError, match=r"non-manifold edge \(0, 1\) "
                                         r"shared by 3 triangles"):
         validate_mesh(mesh)
+
+
+def _relabelled(triangles: np.ndarray, rng) -> np.ndarray:
+    """The same surface with vertex ids permuted, triangles shuffled and
+    each triangle's corners rotated (its winding kept)."""
+    ids = rng.permutation(int(triangles.max()) + 1)
+    tris = ids[triangles][rng.permutation(len(triangles))]
+    shift = rng.integers(0, 3, size=len(tris))
+    return tris[np.arange(len(tris))[:, None], (np.arange(3) + shift[:, None]) % 3]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["icosphere", "cloth"]), st.integers(0, 3),
+       st.integers(0, 2 ** 32 - 1))
+def test_neighbor_table_equals_the_dict_oracle(name, level, seed):
+    """Icospheres of subdivision 0-3 and grids of 2-8 vertices a side, as
+    generated and randomly relabelled."""
+    base = (icosphere(level) if name == "icosphere"
+            else cloth_grid(2 + 2 * level, 0.1)).triangles
+    for tris in (base, _relabelled(base, np.random.default_rng(seed))):
+        assert np.array_equal(triangle_neighbors(tris),
+                              oracles.triangle_neighbors(tris))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["icosphere", "cloth"]), st.integers(1, 4),
+       st.integers(0, 2 ** 32 - 1))
+def test_non_manifold_message_equals_the_dict_oracle(name, extra, seed):
+    """A relabelled mesh with ``extra`` triangles added on random interior
+    edges: the error names the same smallest crowded edge and count."""
+    rng = np.random.default_rng(seed)
+    base = (icosphere(1) if name == "icosphere" else cloth_grid(5, 0.1)).triangles
+    tris = _relabelled(base, rng)
+    apex = int(tris.max()) + 1
+    interior = np.argwhere(oracles.triangle_neighbors(tris) >= 0)
+    picks = interior[rng.integers(0, len(interior), size=extra)]
+    added = [(tris[t, e], tris[t, (e + 1) % 3], apex + k)
+             for k, (t, e) in enumerate(picks)]
+    tris = np.concatenate([tris, np.array(added, dtype=np.int64)])
+    tris = tris[rng.permutation(len(tris))]
+    with pytest.raises(MeshError) as oracle:
+        oracles.triangle_neighbors(tris)
+    with pytest.raises(MeshError) as found:
+        triangle_neighbors(tris)
+    assert str(found.value) == str(oracle.value)
 
 
 def brute_force_neighbors(triangles: np.ndarray) -> list:

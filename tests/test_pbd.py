@@ -21,9 +21,9 @@ from hypothesis.extra.numpy import arrays
 import softsphere.harness as harness
 from oracles import rest_state, sweep_collisions, sweep_distances
 from softsphere.mesh import cloth_grid, icosphere
-from softsphere.pbd import (COLLISION_DTYPE, ParticleState, SolverConfig,
-                            SolverInstabilityError, distance_rows, predict,
-                            solve_step)
+from softsphere.pbd import (COLLISION_DTYPE, DistancePasses, ParticleState,
+                            SolverConfig, SolverInstabilityError,
+                            distance_rows, predict, solve_step)
 from softsphere.scenes import builtin_scene
 
 
@@ -40,6 +40,13 @@ def edge_array(rows):
     return distance_rows(i, j, rest)
 
 
+def passes(state, rows=()):
+    """``solve_step``'s distance input: ``rows`` (none if empty) with their
+    colour passes for the state's inverse masses."""
+    return DistancePasses(rows if len(rows) else distance_rows([], [], []),
+                          state.inv_mass)
+
+
 def chain(n=10, spacing=0.1, pinned_top=True):
     """A vertical chain of particles with consecutive distance constraints."""
     pos = np.zeros((n, 3))
@@ -49,7 +56,7 @@ def chain(n=10, spacing=0.1, pinned_top=True):
         w[0] = 0.0
     state = rest_state(pos, w)
     cons = edge_array([(i, i + 1, spacing) for i in range(n - 1)])
-    return state, cons
+    return state, passes(state, cons)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +206,7 @@ def _project_once(state, edges, collisions, stiffness=1.0) -> np.ndarray:
     """One solver sweep (zero gravity, no damping) over the given rows
     alone; returns each particle's move."""
     before = state.positions.copy()
-    solve_step(state, edges, collisions,
+    solve_step(state, passes(state, edges), collisions,
                SolverConfig(dt=0.01, iterations=1, gravity=np.zeros(3),
                             stiffness=stiffness, damping=1.0))
     return state.positions - before
@@ -293,8 +300,8 @@ def test_solve_step_sweep_on_a_scene_equals_the_oracle_sweeps(monkeypatch):
     harness.run_scene(builtin_scene("cloth-over-sphere", frames=10))
     assert seen, "the cloth reaches the ball within 10 frames"
     pos, pred, inv_mass, edges, collisions, config = seen[0]
-    assert len(np.unique(edges["colour"])) > 1
-    swept = sweep_distances(pred, inv_mass, edges, config.stiffness)
+    assert len(np.unique(edges.rows["colour"])) > 1
+    swept = sweep_distances(pred, inv_mass, edges.rows, config.stiffness)
     expect = sweep_collisions(swept, inv_mass, collisions)
     assert np.any(expect != swept), "a collision row moves particles"
     state = ParticleState(positions=pos, predicted=pred,
@@ -412,7 +419,7 @@ def test_solve_step_without_constraints_is_ballistic():
                           damping=1.0)
     p0 = total_momentum(state)
     predict(state, config)
-    solve_step(state, [], [], config)
+    solve_step(state, passes(state), [], config)
     assert np.allclose(state.positions, pos + 0.05 * vel, atol=1e-15)
     assert np.allclose(state.velocities, vel, atol=1e-12)
     assert np.allclose(total_momentum(state), p0, atol=1e-12)
@@ -423,7 +430,7 @@ def test_solve_step_gravity_accumulates_in_velocity():
     config = SolverConfig(dt=0.1, iterations=1,
                           gravity=np.array([0.0, -10.0, 0.0]), damping=1.0)
     predict(state, config)
-    solve_step(state, [], [], config)
+    solve_step(state, passes(state), [], config)
     assert np.allclose(state.positions[0], [0.0, -0.1, 0.0], atol=1e-15)
     assert np.allclose(state.velocities[0], [0.0, -1.0, 0.0], atol=1e-12)
 
@@ -437,7 +444,7 @@ def test_solve_step_trace_contracts_an_overstretched_edge():
     config = SolverConfig(dt=0.1, iterations=10, gravity=np.zeros(3),
                           stiffness=0.5, damping=1.0)
     predict(state, config)
-    trace = solve_step(state, cons, [], config)
+    trace = solve_step(state, passes(state, cons), [], config)
     assert len(trace) == 10
     assert trace[0] == pytest.approx(1.0), "first sweep sees the raw violation"
     assert all(a > b for a, b in zip(trace, trace[1:])), "strict contraction"
@@ -464,10 +471,10 @@ def test_solve_step_momentum_is_conserved_by_internal_constraints():
     pos = rng.normal(size=(12, 3))
     state = rest_state(pos, np.ones(12))
     state.velocities[:] = rng.normal(size=(12, 3)) + np.array([1.0, 0.5, 0.0])
-    cons = edge_array([(i, j, float(np.linalg.norm(pos[i] - pos[j])
-                                    * rng.uniform(0.7, 1.3)))
-                       for i in range(12) for j in range(i + 1, 12)
-                       if rng.random() < 0.4])
+    cons = passes(state, edge_array(
+        [(i, j, float(np.linalg.norm(pos[i] - pos[j]) * rng.uniform(0.7, 1.3)))
+         for i in range(12) for j in range(i + 1, 12)
+         if rng.random() < 0.4]))
     assert len(cons) > 10
     config = SolverConfig(dt=0.01, iterations=8, gravity=np.zeros(3),
                           damping=1.0)
@@ -490,7 +497,7 @@ def test_solve_step_momentum_survives_collision_projection():
                           damping=1.0)
     before = total_momentum(state)
     predict(state, config)
-    solve_step(state, [], con, config)
+    solve_step(state, passes(state), con, config)
     after = total_momentum(state)
     assert np.linalg.norm(after - before) <= 1e-6 * np.linalg.norm(before)
 
@@ -546,7 +553,7 @@ def test_solver_instability_error_carries_the_frame():
     config = SolverConfig(dt=0.1, iterations=1)
     predict(state, config)
     with pytest.raises(SolverInstabilityError) as err:
-        solve_step(state, [], [], config, frame=42)
+        solve_step(state, passes(state), [], config, frame=42)
     assert err.value.frame == 42
     assert "42" in str(err.value)
 
@@ -557,5 +564,5 @@ def test_damping_scales_velocities():
     config = SolverConfig(dt=0.1, iterations=1, gravity=np.zeros(3),
                           damping=0.9)
     predict(state, config)
-    solve_step(state, [], [], config)
+    solve_step(state, passes(state), [], config)
     assert np.allclose(state.velocities[0], [0.9, 0.0, 0.0], atol=1e-12)
