@@ -109,10 +109,14 @@ _EMPTY_PAIRS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
 # the grid kernel tests sphere pairs in blocks of whole key ranges, a new
 # block starting at each multiple of this many pairs, which caps memory when
-# most spheres share a few cells.  A block's largest temporaries (24 bytes a
-# pair, about 100 KB) stay under malloc's mapping threshold, so it reuses
-# its heap; much larger blocks make it map fresh pages for every block (at
-# 1 << 20 pairs, about 250 page faults per cloth-over-sphere frame).
+# most spheres share a few cells.  A block tests its pairs one coordinate at
+# a time, so each temporary is one 8-byte column (about 33 KB).  Gathering
+# (m, 3) rows instead tripled them; at free the heap's top then passed
+# malloc's trim threshold (128 KB unless an earlier free of a mapped block
+# raised it), was handed back and faulted in again the next frame: up to
+# about 150 page faults per cloth-over-sphere frame, by heap layout.  Much
+# larger blocks map fresh pages for every block (at 1 << 20 pairs, about
+# 250 page faults per cloth-over-sphere frame).
 _OVERLAP_BLOCK_PAIRS = 1 << 12
 # the grid has at most this many cells per culled sphere, plus the 27 of
 # the smallest padded grid: cells grow past the reach only where spheres
@@ -191,15 +195,18 @@ def _overlap_candidates(centers_a: np.ndarray, radii_a: np.ndarray,
     key_b = cell_keys(centers_b[ib])
     order = np.argsort(key_b, kind="stable")
     ib = ib[order]
-    ca, ra = centers_a[ia], radii_a[ia]
-    cb, rb = centers_b[ib], radii_b[ib]
+    ra, rb = radii_a[ia], radii_b[ib]
+    # x, z, then y: the order einsum("ij,ij->i") adds the squares in, so
+    # each pair's d2 keeps the bits of the (m, 3) form
+    cols_a = [centers_a[ia, k] for k in (0, 2, 1)]
+    cols_b = [centers_b[ib, k] for k in (0, 2, 1)]
     # starts[k]: how many side-b spheres have a key below k
     starts = np.zeros(int(dims.prod()) + 1, dtype=np.int64)
     np.cumsum(np.bincount(key_b, minlength=starts.size - 1), out=starts[1:])
     # one range per (x, y) neighbour column, covering z - 1 .. z + 1
     shifts = ((np.arange(-1, 2)[:, None] * dims[1]
                + np.arange(-1, 2)[None, :]) * dims[2]).ravel()
-    query = (cell_keys(ca)[:, None] + shifts[None, :]).ravel()
+    query = (cell_keys(centers_a[ia])[:, None] + shifts[None, :]).ravel()
     first = starts[query - 1]
     count = starts[query + 2] - first
     ranges = np.flatnonzero(count)
@@ -222,10 +229,16 @@ def _overlap_candidates(centers_a: np.ndarray, radii_a: np.ndarray,
         i = np.repeat(rows[lo_r:hi_r], n)
         j = (np.arange(begin[lo_r], ends[hi_r - 1])
              + np.repeat(offset[lo_r:hi_r], n))
-        diff = np.take(ca, i, axis=0) - np.take(cb, j, axis=0)
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        rsum = ra[i] + rb[j]
-        hit = d2 < rsum * rsum
+        d2 = np.zeros(len(i))
+        for xa, xb in zip(cols_a, cols_b):
+            d = xa[i]
+            d -= xb[j]
+            d *= d
+            d2 += d
+        rsum = ra[i]
+        rsum += rb[j]
+        rsum *= rsum
+        hit = d2 < rsum
         if hit.any():
             out_i.append(ia[i[hit]])
             out_j.append(ib[j[hit]])
