@@ -1,7 +1,8 @@
 """Command-line front end: run scenes, sweep update thresholds, compare methods.
 
 Exit codes: 0 on success, 2 for bad scene descriptions or arguments (a
-value out of range or not finite included), 3 when a run aborts midway
+value out of range or not finite, an empty number list and an ``--out``
+path that cannot be written included), 3 when a run aborts midway
 because the solver goes unstable or a deforming mesh produces a degenerate
 triangle (the partial CSV is kept).
 """
@@ -53,9 +54,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _parse_floats(text: str, what: str) -> List[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
+        values = []
+    if not values:
         raise SceneError(f"bad {what} list: '{text}'")
+    return values
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -166,6 +170,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except SceneError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        if exc.filename is None:  # not a file's fault: a closed pipe, say
+            raise
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 2
     except SolverInstabilityError as exc:
         print(f"solver instability: {exc}", file=sys.stderr)

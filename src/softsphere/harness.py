@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 from time import perf_counter
@@ -28,7 +29,7 @@ from .detect import (CandidatePair, NarrowInput, baseline_bounding_ball,
                      narrow_phase, object_bounding_sphere,
                      polygon_exact_contacts)
 from .mesh import TriangleMesh, compute_curvature, triangle_normals
-from .pbd import COLLISION_DTYPE, SolverConfig, predict, solve_step
+from .pbd import COLLISION_DTYPE, predict, solve_step
 from .scenes import SceneConfig, World, generate_scene
 from .spheres import SphereParams, build_sphere_set, update_spheres
 
@@ -76,13 +77,12 @@ class RunResult:
 # ---------------------------------------------------------------------------
 
 
-def stability_metric(prev_positions: np.ndarray, positions: np.ndarray,
-                     vertex_ids: np.ndarray) -> float:
-    """Mean frame-to-frame displacement of the given vertices (0 if none)."""
-    if vertex_ids.size == 0:
+def stability_metric(before: np.ndarray, after: np.ndarray) -> float:
+    """Mean displacement between two (k, 3) gatherings of the same k
+    vertices' positions (0 if k = 0)."""
+    if len(before) == 0:
         return 0.0
-    delta = positions[vertex_ids] - prev_positions[vertex_ids]
-    return float(np.linalg.norm(delta, axis=1).mean())
+    return float(np.linalg.norm(after - before, axis=1).mean())
 
 
 _PARITY_DIR = np.array([3.0, 5.0, 7.0]) / math.sqrt(83.0)
@@ -238,10 +238,11 @@ def _collision_constraints(contacts: np.recarray, world: World,
     out = np.zeros(len(contacts), dtype=COLLISION_DTYPE)
     for side, (obj_col, tri_col) in enumerate(_SIDES):
         for obj_index in np.unique(contacts[obj_col]).tolist():
+            obj = world.objects[obj_index]
             rows = np.nonzero(contacts[obj_col] == obj_index)[0]
             tris = contacts[tri_col][rows]
             centers, radii = spheres[obj_index]
-            particles = world.objects[obj_index].global_triangles()[tris]
+            particles = obj.triangles[tris] + obj.first_vertex
             out["particles"][rows, 3 * side:3 * side + 3] = particles
             out["offsets"][rows, side] = (centers[tris]
                                           - predicted[particles].mean(axis=1))
@@ -250,16 +251,14 @@ def _collision_constraints(contacts: np.recarray, world: World,
     return out
 
 
-def _participating_vertices(contacts: np.recarray,
+def _participating_vertices(contacts: np.recarray, collisions: np.ndarray,
                             world: World) -> np.ndarray:
-    """Global ids of deformable-object vertices touched by any contact."""
-    ids = [np.empty(0, dtype=np.int64)]
-    for obj in world.objects:
-        if not obj.static:
-            for obj_col, tri_col in _SIDES:
-                tris = contacts[tri_col][contacts[obj_col] == obj.index]
-                ids.append(obj.global_triangles()[tris].ravel())
-    return np.unique(np.concatenate(ids))
+    """Global ids of deformable-object vertices touched by any contact: the
+    particle columns of ``collisions``, the solver rows built from
+    ``contacts``, on each side whose object is not static."""
+    static = np.array([obj.static for obj in world.objects])
+    sides = np.stack((contacts.obj_a, contacts.obj_b), axis=1)
+    return np.unique(collisions["particles"].reshape(-1, 2, 3)[~static[sides]])
 
 
 # ---------------------------------------------------------------------------
@@ -308,24 +307,21 @@ def run_scene(config: SceneConfig,
               frame_hook: Optional[FrameHook] = None) -> RunResult:
     """Simulate a scene, streaming per-frame metrics to CSV.
 
-    ``frame_hook(frame, world, metrics, predicted)`` is called after each
-    frame with the pre-solve predicted positions (a copy), which is what the
-    detection stage saw.  On solver instability the partial CSV is kept and
-    the error propagates.
+    ``stability_m`` compares the contacted deformable vertices' rows,
+    gathered just before and just after the solve.  ``frame_hook(frame,
+    world, metrics, predicted)`` is called after each frame with the
+    pre-solve predicted positions (a copy), which is what the detection
+    stage saw.  On solver instability the partial CSV is kept and the
+    error propagates.
     """
     world = generate_scene(config)
     state = world.state
-    solver_cfg = SolverConfig(dt=config.dt, iterations=config.iterations,
-                              gravity=config.gravity,
-                              stiffness=config.stiffness,
-                              damping=config.damping)
     detect = _detector(world, config)
     reporter = _Reporter(out_path)
     metrics: List[FrameMetrics] = []
-    prev_positions = state.positions.copy()
     try:
         for frame in range(config.frames):
-            predict(state, solver_cfg)
+            predict(state, config)
             snapshot = state.predicted.copy() if frame_hook else None
             t0 = perf_counter()
             meshes = [world.mesh_of(o, state.predicted) for o in world.objects]
@@ -340,12 +336,13 @@ def run_scene(config: SceneConfig,
             del meshes  # and their corner gathers, before the solve
             constraints = _collision_constraints(contacts, world, spheres,
                                                  state.predicted)
+            touched = _participating_vertices(contacts, constraints, world)
+            before = state.positions[touched]
             t1 = perf_counter()
             trace = solve_step(state, world.distance_constraints,
-                               constraints, solver_cfg, frame=frame)
+                               constraints, config, frame=frame)
             solve_time = perf_counter() - t1
-            stab = stability_metric(prev_positions, state.positions,
-                                    _participating_vertices(contacts, world))
+            stab = stability_metric(before, state.positions[touched])
             row = FrameMetrics(
                 frame=frame, detect_time_s=detect_time,
                 solve_time_s=solve_time, rebuild_count=rebuilds,
@@ -356,7 +353,6 @@ def run_scene(config: SceneConfig,
             metrics.append(row)
             if frame_hook:
                 frame_hook(frame, world, row, snapshot)
-            prev_positions = state.positions.copy()
     finally:
         reporter.close()
     return RunResult(metrics=metrics)
@@ -395,13 +391,15 @@ def run_each(config: SceneConfig, field: str, values: Sequence,
 
     Returns one row per run: ``{field: value}`` followed by ``summarize``.
     With ``out_path`` the rows are also written there as CSV, with the
-    columns ``field`` and then ``SUMMARY_FIELDS``.
+    columns ``field`` and then ``SUMMARY_FIELDS``; the file is created
+    before the first run.
     """
-    rows = [{field: value,
-             **summarize(run_scene(replace(config, **{field: value})))}
-            for value in values]
-    if out_path is not None:
-        fh, writer = _open_csv(out_path, (field,) + SUMMARY_FIELDS)
-        with fh:
+    fh, writer = (_open_csv(out_path, (field,) + SUMMARY_FIELDS)
+                  if out_path is not None else (nullcontext(), None))
+    with fh:
+        rows = [{field: value,
+                 **summarize(run_scene(replace(config, **{field: value})))}
+                for value in values]
+        if writer is not None:
             writer.writerows(rows)
     return rows

@@ -4,7 +4,9 @@ The solver advances particle positions directly: each frame predicts
 positions from velocities and gravity, then runs a fixed number of
 Gauss-Seidel sweeps over all constraints, projecting each one on the
 predicted positions in sequence (corrections feed forward within a sweep),
-and finally recovers velocities from the position change.
+and finally recovers velocities from the position change.  ``predict`` and
+``solve_step`` read ``dt``, ``iterations``, ``gravity``, ``stiffness`` and
+``damping`` from the run's ``SceneConfig``, which has validated them.
 
 Constraints:
 
@@ -16,7 +18,7 @@ Constraints:
   projected in one vector pass, which equals projecting its rows one after
   another because they share no particle.  The rows arrive wrapped in a
   ``DistancePasses``, which builds those passes with the inverse masses
-  once, at scene assembly.  ``SolverConfig.stiffness`` scales every row;
+  once, at scene assembly.  ``SceneConfig.stiffness`` scales every row;
 * collision constraints keep two contact spheres separated; sphere centers
   are treated as rigid offsets from their triangle centroids, so pushing the
   six involved particles moves the spheres apart.  They arrive as one
@@ -26,10 +28,13 @@ Constraints:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, List
 
 import numpy as np
+
+if TYPE_CHECKING:  # scenes imports this module
+    from .scenes import SceneConfig
 
 
 class SolverInstabilityError(Exception):
@@ -81,22 +86,6 @@ COLLISION_DTYPE = np.dtype([("particles", np.int64, (6,)),
                             ("normal_hint", np.float64, (3,))])
 
 
-@dataclass
-class SolverConfig:
-    dt: float
-    iterations: int = 10
-    gravity: np.ndarray = field(default_factory=lambda: np.array([0.0, -9.8, 0.0]))
-    stiffness: float = 1.0
-    damping: float = 0.99
-
-    def __post_init__(self) -> None:
-        if not self.dt > 0:
-            raise ValueError("dt must be > 0")
-        if not self.iterations >= 1:
-            raise ValueError("iterations must be >= 1")
-        self.gravity = np.asarray(self.gravity, dtype=np.float64)
-
-
 def distance_rows(i, j, rest_length) -> np.ndarray:
     """The ``DISTANCE_DTYPE`` array of the edges (i[e], j[e]), coloured.
 
@@ -128,7 +117,7 @@ def distance_rows(i, j, rest_length) -> np.ndarray:
     return out
 
 
-def predict(state: ParticleState, config: SolverConfig) -> None:
+def predict(state: ParticleState, config: SceneConfig) -> None:
     """predicted = x + v*dt + dt^2*g for free particles; pinned keep x."""
     dt = config.dt
     np.add(state.positions, state.velocities * dt + (dt * dt) * config.gravity,
@@ -205,7 +194,7 @@ def _distance_sweep(p: np.ndarray, passes: List[tuple], k: float) -> float:
 def solve_step(state: ParticleState,
                distance_constraints: DistancePasses,
                collisions: np.ndarray,
-               config: SolverConfig, frame: int = 0) -> List[float]:
+               config: SceneConfig, frame: int = 0) -> List[float]:
     """Gauss-Seidel sweeps, then commit positions and update velocities.
 
     ``distance_constraints`` holds one ``DISTANCE_DTYPE`` row per edge with

@@ -50,7 +50,7 @@ def ball_spec(name="ball", subdivision=1, radius=0.5, center=(0.0, 0.0, 0.0),
 
 def test_stability_metric_static_is_zero():
     pos = np.arange(12, dtype=float).reshape(4, 3)
-    assert stability_metric(pos, pos.copy(), np.arange(4)) == 0.0
+    assert stability_metric(pos, pos.copy()) == 0.0
 
 
 def test_stability_metric_single_oscillating_vertex():
@@ -59,7 +59,8 @@ def test_stability_metric_single_oscillating_vertex():
     prev[1, 1] = +0.01
     pos = np.zeros((3, 3))
     pos[1, 1] = -0.01
-    assert stability_metric(prev, pos, np.array([1])) == pytest.approx(0.02)
+    ids = np.array([1])
+    assert stability_metric(prev[ids], pos[ids]) == pytest.approx(0.02)
 
 
 def test_stability_metric_averages_over_selected_vertices():
@@ -67,8 +68,10 @@ def test_stability_metric_averages_over_selected_vertices():
     pos = np.zeros((4, 3))
     pos[0, 0] = 0.1
     pos[2, 0] = 0.3
-    assert stability_metric(prev, pos, np.array([0, 2])) == pytest.approx(0.2)
-    assert stability_metric(prev, pos, np.empty(0, dtype=int)) == 0.0
+    ids = np.array([0, 2])
+    assert stability_metric(prev[ids], pos[ids]) == pytest.approx(0.2)
+    none = np.empty(0, dtype=int)
+    assert stability_metric(prev[none], pos[none]) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +549,7 @@ def test_collision_constraints_capture_the_contact_spheres(method_name):
         assert np.allclose(rows["radius_sum"], radius.sum(axis=1), rtol=1e-12,
                            atol=0)
 
-    touched = _participating_vertices(contacts, world)
+    touched = _participating_vertices(contacts, rows, world)
     expect = np.unique([v for c in contacts
                         for o, t in ((c.obj_a, c.tri_a), (c.obj_b, c.tri_b))
                         if o == soft.index
@@ -852,6 +855,40 @@ def test_cli_sweep_rejects_bad_threshold_list(tmp_path, capsys):
     path.write_text(TINY_SCENE)
     assert cli_main(["sweep", str(path), "--d", "0,fast"]) == 2
     assert "bad threshold list" in capsys.readouterr().err
+
+
+def test_cli_sweep_rejects_an_empty_threshold_list(tmp_path, capsys):
+    path = tmp_path / "tiny.ini"
+    path.write_text(TINY_SCENE)
+    assert cli_main(["sweep", str(path), "--d", ","]) == 2
+    assert "bad threshold list: ','" in capsys.readouterr().err
+
+
+def test_cli_run_unwritable_out_exits_2(tmp_path, capsys):
+    """An --out path below a regular file: exit 2, naming the path."""
+    path = tmp_path / "tiny.ini"
+    path.write_text(TINY_SCENE)
+    out = tmp_path / "tiny.ini" / "m.csv"
+    assert cli_main(["run", str(path), "--out", str(out)]) == 2
+    assert f"error: cannot write {out}" in capsys.readouterr().err
+
+
+def test_cli_compare_unwritable_out_exits_2_before_any_run(
+        tmp_path, capsys, monkeypatch):
+    path = tmp_path / "tiny.ini"
+    path.write_text(TINY_SCENE)
+    out = tmp_path / "tiny.ini" / "compare.csv"
+    runs = []
+    real = harness.run_scene
+
+    def record(config, *args, **kwargs):
+        runs.append(config.method)
+        return real(config, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_scene", record)
+    assert cli_main(["compare", str(path), "--out", str(out)]) == 2
+    assert f"error: cannot write {out}" in capsys.readouterr().err
+    assert runs == [], "the CSV is opened before the first run"
 
 
 def test_cli_compare_prints_a_table(tmp_path, capsys):

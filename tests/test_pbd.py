@@ -22,9 +22,16 @@ import softsphere.harness as harness
 from oracles import rest_state, sweep_collisions, sweep_distances
 from softsphere.mesh import cloth_grid, icosphere
 from softsphere.pbd import (COLLISION_DTYPE, DistancePasses, ParticleState,
-                            SolverConfig, SolverInstabilityError,
-                            distance_rows, predict, solve_step)
-from softsphere.scenes import builtin_scene
+                            SolverInstabilityError, distance_rows, predict,
+                            solve_step)
+from softsphere.scenes import ObjectSpec, SceneConfig, builtin_scene
+
+
+def run_config(**settings) -> SceneConfig:
+    """The solver settings of a run, as ``predict`` and ``solve_step`` take
+    them: a ``SceneConfig``, whose one object they never read."""
+    return SceneConfig(objects=[ObjectSpec(name="c", generator="cloth")],
+                       **settings)
 
 
 def total_momentum(state: ParticleState) -> np.ndarray:
@@ -73,12 +80,6 @@ def test_particle_state_validates_shapes_and_masses():
 
 
 def test_constraint_and_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(dt=0.0)
-    with pytest.raises(ValueError, match="dt must be > 0"):
-        SolverConfig(dt=math.nan)
-    with pytest.raises(ValueError):
-        SolverConfig(dt=0.01, iterations=0)
     with pytest.raises(ValueError, match="two distinct"):
         distance_rows([0, 1], [1, 1], [1.0, 1.0])
     with pytest.raises(ValueError, match="two distinct"):
@@ -145,27 +146,27 @@ def test_edge_colouring_properties_on_mesh_edges(name, seed):
 
 def test_predict_at_rest_without_gravity_changes_nothing():
     state = rest_state(np.array([[1.0, 2.0, 3.0]]), np.ones(1))
-    predict(state, SolverConfig(dt=0.1, gravity=np.zeros(3)))
+    predict(state, run_config(dt=0.1, gravity=np.zeros(3)))
     assert np.array_equal(state.predicted, state.positions)
 
 
 def test_predict_advances_with_velocity():
     state = rest_state(np.zeros((1, 3)), np.ones(1))
     state.velocities[0] = [1.0, 0.0, 0.0]
-    predict(state, SolverConfig(dt=0.1, gravity=np.zeros(3)))
+    predict(state, run_config(dt=0.1, gravity=np.zeros(3)))
     assert np.allclose(state.predicted[0], [0.1, 0.0, 0.0], atol=1e-15)
 
 
 def test_predict_applies_gravity_as_dt_squared():
     state = rest_state(np.zeros((1, 3)), np.ones(1))
-    predict(state, SolverConfig(dt=0.1, gravity=np.array([0.0, -10.0, 0.0])))
+    predict(state, run_config(dt=0.1, gravity=np.array([0.0, -10.0, 0.0])))
     assert np.allclose(state.predicted[0], [0.0, -0.1, 0.0], atol=1e-15)
 
 
 def test_predict_leaves_pinned_particles_alone():
     state = rest_state(np.array([[5.0, 5.0, 5.0]]), np.zeros(1))
     state.velocities[0] = [100.0, 0.0, 0.0]
-    predict(state, SolverConfig(dt=0.1, gravity=np.array([0.0, -10.0, 0.0])))
+    predict(state, run_config(dt=0.1, gravity=np.array([0.0, -10.0, 0.0])))
     assert np.array_equal(state.predicted[0], [5.0, 5.0, 5.0])
 
 
@@ -185,7 +186,7 @@ def test_predict_is_exact_per_particle(n, dt, gravity, data):
     state.predicted[:] = np.nan
     positions = state.positions.copy()
     velocities = state.velocities.copy()
-    predict(state, SolverConfig(dt=dt, gravity=gravity))
+    predict(state, run_config(dt=dt, gravity=gravity))
     for k in range(n):
         if inv_mass[k] == 0.0:
             expected = positions[k]
@@ -207,8 +208,8 @@ def _project_once(state, edges, collisions, stiffness=1.0) -> np.ndarray:
     alone; returns each particle's move."""
     before = state.positions.copy()
     solve_step(state, passes(state, edges), collisions,
-               SolverConfig(dt=0.01, iterations=1, gravity=np.zeros(3),
-                            stiffness=stiffness, damping=1.0))
+               run_config(dt=0.01, iterations=1, gravity=np.zeros(3),
+                          stiffness=stiffness, damping=1.0))
     return state.positions - before
 
 
@@ -415,8 +416,8 @@ def test_solve_step_without_constraints_is_ballistic():
     vel = rng.normal(size=(20, 3))
     state = rest_state(pos, np.ones(20))
     state.velocities[:] = vel
-    config = SolverConfig(dt=0.05, iterations=5, gravity=np.zeros(3),
-                          damping=1.0)
+    config = run_config(dt=0.05, iterations=5, gravity=np.zeros(3),
+                        damping=1.0)
     p0 = total_momentum(state)
     predict(state, config)
     solve_step(state, passes(state), [], config)
@@ -427,8 +428,8 @@ def test_solve_step_without_constraints_is_ballistic():
 
 def test_solve_step_gravity_accumulates_in_velocity():
     state = rest_state(np.zeros((1, 3)), np.ones(1))
-    config = SolverConfig(dt=0.1, iterations=1,
-                          gravity=np.array([0.0, -10.0, 0.0]), damping=1.0)
+    config = run_config(dt=0.1, iterations=1,
+                        gravity=np.array([0.0, -10.0, 0.0]), damping=1.0)
     predict(state, config)
     solve_step(state, passes(state), [], config)
     assert np.allclose(state.positions[0], [0.0, -0.1, 0.0], atol=1e-15)
@@ -441,8 +442,8 @@ def test_solve_step_trace_contracts_an_overstretched_edge():
     state = rest_state(np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]),
                        np.ones(2))
     cons = edge_array([(0, 1, 1.0)])
-    config = SolverConfig(dt=0.1, iterations=10, gravity=np.zeros(3),
-                          stiffness=0.5, damping=1.0)
+    config = run_config(dt=0.1, iterations=10, gravity=np.zeros(3),
+                        stiffness=0.5, damping=1.0)
     predict(state, config)
     trace = solve_step(state, passes(state, cons), [], config)
     assert len(trace) == 10
@@ -456,8 +457,8 @@ def test_solve_step_trace_contracts_a_stretched_chain():
     state.predicted[:] = state.positions
     state.positions[:, 1] *= 1.8  # stretch every edge
     state.predicted[:] = state.positions
-    config = SolverConfig(dt=0.1, iterations=10, gravity=np.zeros(3),
-                          damping=1.0)
+    config = run_config(dt=0.1, iterations=10, gravity=np.zeros(3),
+                        damping=1.0)
     predict(state, config)
     trace = solve_step(state, cons, [], config)
     assert trace[-1] < trace[0]
@@ -476,8 +477,8 @@ def test_solve_step_momentum_is_conserved_by_internal_constraints():
          for i in range(12) for j in range(i + 1, 12)
          if rng.random() < 0.4]))
     assert len(cons) > 10
-    config = SolverConfig(dt=0.01, iterations=8, gravity=np.zeros(3),
-                          damping=1.0)
+    config = run_config(dt=0.01, iterations=8, gravity=np.zeros(3),
+                        damping=1.0)
     for _ in range(200):
         before = total_momentum(state)
         predict(state, config)
@@ -493,8 +494,8 @@ def test_solve_step_momentum_survives_collision_projection():
     state, con = _two_triangle_contact(gap=0.9, w_a=1.0, w_b=0.25)
     state.velocities[:3] = [0.5, 0.0, 0.0]
     state.velocities[3:] = [-0.05, 0.1, 0.0]
-    config = SolverConfig(dt=0.01, iterations=4, gravity=np.zeros(3),
-                          damping=1.0)
+    config = run_config(dt=0.01, iterations=4, gravity=np.zeros(3),
+                        damping=1.0)
     before = total_momentum(state)
     predict(state, config)
     solve_step(state, passes(state), con, config)
@@ -508,7 +509,7 @@ def test_solve_step_keeps_pinned_particles_bit_stationary():
     state, cons = chain(n=6, spacing=0.15)
     anchor = state.positions[0].copy()
     state.velocities[1:] += np.array([0.4, 0.0, 0.2])
-    config = SolverConfig(dt=1 / 60, iterations=10)
+    config = run_config(dt=1 / 60, iterations=10)
     for frame in range(500):
         predict(state, config)
         solve_step(state, cons, [], config, frame=frame)
@@ -520,7 +521,7 @@ def test_hanging_chain_settles():
     """A pinned 10-particle chain under gravity, 20 iterations per frame:
     after 500 frames the per-frame displacement drops under 1e-4 m."""
     state, cons = chain(n=10, spacing=0.1)
-    config = SolverConfig(dt=1 / 60, iterations=20)
+    config = run_config(dt=1 / 60, iterations=20)
     last_disp = math.inf
     for frame in range(500):
         before = state.positions.copy()
@@ -535,7 +536,7 @@ def test_solve_step_is_deterministic_bit_for_bit():
     def run():
         state, cons = chain(n=8, spacing=0.12)
         state.velocities[1:] += np.array([0.3, 0.0, -0.1])
-        config = SolverConfig(dt=1 / 60, iterations=12)
+        config = run_config(dt=1 / 60, iterations=12)
         for frame in range(50):
             predict(state, config)
             solve_step(state, cons, [], config, frame=frame)
@@ -550,7 +551,7 @@ def test_solve_step_is_deterministic_bit_for_bit():
 def test_solver_instability_error_carries_the_frame():
     state = rest_state(np.zeros((1, 3)), np.ones(1))
     state.velocities[0] = [math.nan, 0.0, 0.0]
-    config = SolverConfig(dt=0.1, iterations=1)
+    config = run_config(dt=0.1, iterations=1)
     predict(state, config)
     with pytest.raises(SolverInstabilityError) as err:
         solve_step(state, passes(state), [], config, frame=42)
@@ -561,8 +562,8 @@ def test_solver_instability_error_carries_the_frame():
 def test_damping_scales_velocities():
     state = rest_state(np.zeros((1, 3)), np.ones(1))
     state.velocities[0] = [1.0, 0.0, 0.0]
-    config = SolverConfig(dt=0.1, iterations=1, gravity=np.zeros(3),
-                          damping=0.9)
+    config = run_config(dt=0.1, iterations=1, gravity=np.zeros(3),
+                        damping=0.9)
     predict(state, config)
     solve_step(state, passes(state), [], config)
     assert np.allclose(state.velocities[0], [0.9, 0.0, 0.0], atol=1e-12)
