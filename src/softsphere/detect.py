@@ -1,7 +1,8 @@
 """Two-phase collision detection plus the two comparison baselines.
 
 Broad phase: one bounding sphere per object (centroid + max vertex distance),
-refreshed every frame, overlap-tested pairwise.  Narrow phase (main method):
+refreshed every frame (a static object's is computed once), overlap-tested
+pairwise.  Narrow phase (main method):
 per-triangle circumsphere overlap followed by safety-cone validation — a
 contact's center-to-center direction must lie inside each sphere's normal
 safety cone for the contact to be real; intersections confined to the
@@ -10,15 +11,20 @@ non-covered part of a sphere are filtered out.
 Baselines for method comparison:
 
 * ``bounding-ball``: per-triangle *minimal* bounding spheres, recomputed every
-  frame, overlap test only — no cone filter, no lazy updates.
+  frame but for static objects, overlap test only — no cone filter, no lazy
+  updates.
 * ``polygon-exact``: exact triangle-triangle intersection on every triangle
   pair of a candidate object pair, with no sphere prefilter: a bulk
   plane-side filter (stage one), then one vectorized separating-axis test
   on the pairs it keeps.
 
 Sphere overlaps are found by a cull against the other side's bounding box,
-then a uniform grid of cells at least as wide as the largest radius sum,
-with every pair test in float64.  Only the plane-side filter of
+then a uniform grid (``SphereGrid``) over one side, of cells at least as
+wide as the largest radius sum, queried by the other side, with every pair
+test in float64.  A static object never moves, so a candidate pair with a
+static side carries its overlaps between frames (``OverlapCarry``): the
+static side's grid is built once, and each frame only the moving side's
+rebuilt spheres are queried against it.  Only the plane-side filter of
 ``polygon-exact`` works in float32, on coordinates relative to the pair's
 common bounding-box centre and with a conservative margin; the
 separating-axis test confirms its survivors in float64.
@@ -32,7 +38,7 @@ plus the unit center-to-center normal from side a to side b), sorted by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,10 +57,13 @@ class BoundingSphere:
 @dataclass
 class CandidatePair:
     """Two distinct objects whose bounding spheres overlap, by their
-    indices in the scene's object list."""
+    indices in the scene's object list.  ``carry``, set when one of them
+    is static, holds the pair's sphere overlaps from its last frame."""
 
     object_a: int
     object_b: int
+    carry: Optional["OverlapCarry"] = field(default=None, compare=False,
+                                            repr=False)
 
 
 CONTACT_DTYPE = np.dtype([("obj_a", np.int64), ("obj_b", np.int64),
@@ -118,10 +127,10 @@ _EMPTY_PAIRS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 # larger blocks map fresh pages for every block (at 1 << 20 pairs, about
 # 250 page faults per cloth-over-sphere frame).
 _OVERLAP_BLOCK_PAIRS = 1 << 12
-# the grid has at most this many cells per culled sphere, plus the 27 of
+# the grid has at most this many cells per binned sphere, plus the 27 of
 # the smallest padded grid: cells grow past the reach only where spheres
 # are sparse in the region the grid covers, and its table stays small.
-_GRID_CELLS_PER_SPHERE = 8
+_GRID_CELLS_PER_SPHERE = 16
 # plane_side_survivors: absolute slack (metres) on each float32 plane-side
 # test, and the number of side-a rows compared against side b at once.
 _PLANE_SIDE_MARGIN = 1e-4
@@ -146,105 +155,206 @@ def _meets_box(lows, highs, box) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
+class SphereGrid:
+    """One side's spheres (side b) binned in a uniform grid, for queries by
+    the other side (side a).
+
+    Teschner et al., *Optimized Spatial Hashing for Collision Detection of
+    Deformable Objects*, VMV 2003.
+
+    * Cull: with ``around`` (a box), the spheres whose own box misses it
+      are left out, and the grid covers only the overlap of ``around`` with
+      the box of all the spheres (``box``).  A query sphere whose box
+      misses ``box`` overlaps nothing.  The boxes come from 1-D per-column
+      reductions, which cost microseconds where an axis reduction over an
+      (n, 3) array costs hundreds.
+    * Grid: the covered box grown by two reaches on every side, so every
+      kept query centre lies inside it; cells are at least a reach wide, so
+      an overlapping pair sits in the same or adjacent cells on every axis.
+      Keys are linear with one cell of padding per axis, so the cells
+      z - 1 .. z + 1 of a column form one key range.  The spheres are
+      sorted by key, and a table of where each key starts gives every query
+      sphere its 9 neighbour-column ranges.
+    * Pair test: float64 on center differences, so scenes far from the
+      origin lose no pairs, in blocks of about ``_OVERLAP_BLOCK_PAIRS``.
+
+    A query is exact while its largest radius plus the grid's largest
+    radius stays within ``limit``: the cell width, and at most the two
+    reaches of padding the grid was built with.  A grid built ``around`` a
+    box serves only query spheres inside that box.
+    """
+
+    def __init__(self, centers: np.ndarray, radii: np.ndarray, reach: float,
+                 around: Optional[Tuple[np.ndarray, np.ndarray]] = None
+                 ) -> None:
+        lows, highs, self.box = _sphere_box(centers, radii)
+        lo, hi = self.box
+        if around is None:
+            rows = np.arange(len(radii))
+        else:
+            rows = _meets_box(lows, highs, around)
+            lo, hi = np.maximum(lo, around[0]), np.minimum(hi, around[1])
+        self.rows = rows
+        if rows.size == 0:
+            return
+        lo = lo - 2.0 * reach
+        span = hi + 2.0 * reach - lo
+        max_cells = 27 + _GRID_CELLS_PER_SPHERE * rows.size
+        cell = max(reach, float(span.max()) / max_cells)
+        dims = np.floor(span / cell).astype(np.int64) + 3
+        while int(dims[0]) * int(dims[1]) * int(dims[2]) > max_cells:
+            cell *= 2.0
+            dims = np.floor(span / cell).astype(np.int64) + 3
+        self.lo, self.cell, self.dims = lo, cell, dims
+        self.limit = min(cell, 2.0 * reach)
+        key = self._keys(centers[rows])
+        self.rows = rows[np.argsort(key, kind="stable")]
+        self.radii = radii[self.rows]
+        # x, z, then y: the order einsum("ij,ij->i") adds the squares in,
+        # so each pair's d2 keeps the bits of the (m, 3) form
+        self.cols = [centers[self.rows, k] for k in (0, 2, 1)]
+        # starts[k]: how many spheres have a key below k
+        self.starts = np.zeros(int(dims.prod()) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(key, minlength=self.starts.size - 1),
+                  out=self.starts[1:])
+        # one range per (x, y) neighbour column, covering z - 1 .. z + 1
+        self.shifts = ((np.arange(-1, 2)[:, None] * dims[1]
+                        + np.arange(-1, 2)[None, :]) * dims[2]).ravel()
+
+    def _keys(self, c: np.ndarray) -> np.ndarray:
+        idx = np.floor((c - self.lo) / self.cell).astype(np.int64) + 1
+        return (idx[:, 0] * self.dims[1] + idx[:, 1]) * self.dims[2] + idx[:, 2]
+
+    def query(self, centers: np.ndarray, radii: np.ndarray
+              ) -> Tuple[np.ndarray, np.ndarray]:
+        """Index pairs (query row, grid sphere) with |c_a - c_b| < r_a + r_b
+        (strict, float64)."""
+        if len(centers) == 0:
+            return _EMPTY_PAIRS
+        lows, highs, _ = _sphere_box(centers, radii)
+        return self._pairs(centers, radii, _meets_box(lows, highs, self.box))
+
+    def _pairs(self, centers: np.ndarray, radii: np.ndarray, ia: np.ndarray
+               ) -> Tuple[np.ndarray, np.ndarray]:
+        """``query`` over the query rows ``ia`` that survived the cull."""
+        if ia.size == 0 or self.rows.size == 0:
+            return _EMPTY_PAIRS
+        ra, rb = radii[ia], self.radii
+        cols_a = [centers[ia, k] for k in (0, 2, 1)]
+        query = (self._keys(centers[ia])[:, None]
+                 + self.shifts[None, :]).ravel()
+        first = self.starts[query - 1]
+        count = self.starts[query + 2] - first
+        ranges = np.flatnonzero(count)
+        if ranges.size == 0:
+            return _EMPTY_PAIRS
+        rows = ranges // self.shifts.size
+        count = count[ranges]
+        ends = np.cumsum(count)
+        begin = ends - count
+        # pair p of range r tests query row rows[r] against grid row
+        # p + offset[r]
+        offset = first[ranges] - begin
+        edges = np.searchsorted(begin, np.arange(0, int(ends[-1]),
+                                                 _OVERLAP_BLOCK_PAIRS)).tolist()
+        out_i: List[np.ndarray] = []
+        out_j: List[np.ndarray] = []
+        for lo_r, hi_r in zip(edges, edges[1:] + [ranges.size]):
+            if lo_r == hi_r:
+                continue
+            n = count[lo_r:hi_r]
+            i = np.repeat(rows[lo_r:hi_r], n)
+            j = (np.arange(begin[lo_r], ends[hi_r - 1])
+                 + np.repeat(offset[lo_r:hi_r], n))
+            d2 = np.zeros(len(i))
+            for xa, xb in zip(cols_a, self.cols):
+                d = xa[i]
+                d -= xb[j]
+                d *= d
+                d2 += d
+            rsum = ra[i]
+            rsum += rb[j]
+            rsum *= rsum
+            hit = d2 < rsum
+            if hit.any():
+                out_i.append(ia[i[hit]])
+                out_j.append(self.rows[j[hit]])
+        if not out_i:
+            return _EMPTY_PAIRS
+        return np.concatenate(out_i), np.concatenate(out_j)
+
+
 def _overlap_candidates(centers_a: np.ndarray, radii_a: np.ndarray,
                         centers_b: np.ndarray, radii_b: np.ndarray
                         ) -> Tuple[np.ndarray, np.ndarray]:
-    """Index pairs with |c_a - c_b| < r_a + r_b (strict, float64).
-
-    A cull, then a uniform grid (Teschner et al., *Optimized Spatial
-    Hashing for Collision Detection of Deformable Objects*, VMV 2003).
-
-    * Cull: a sphere whose box misses the other side's overall box
-      overlaps nothing.  The boxes come from 1-D per-column reductions,
-      which cost microseconds where an axis reduction over an (n, 3) array
-      costs hundreds.
-    * Grid: the overlap of the two boxes, grown by two reaches (reach =
-      max r_a + max r_b), so every kept centre lies a reach inside it; cells
-      are at least a reach wide, so an overlapping pair sits in the same or
-      adjacent cells on every axis.  Keys are linear with one cell of
-      padding per axis, so the cells z - 1 .. z + 1 of a column form one
-      key range.  Side b is sorted by key, and a table of where each key
-      starts gives every side-a sphere its 9 neighbour-column ranges.
-    * Pair test: float64 on center differences, so scenes far from the
-      origin lose no pairs, in blocks of about ``_OVERLAP_BLOCK_PAIRS``.
-    """
+    """Index pairs with |c_a - c_b| < r_a + r_b (strict, float64): a
+    ``SphereGrid`` over side b, culled to side a's box, with cells at least
+    one reach (max r_a + max r_b) wide, queried by side a."""
     if len(centers_a) == 0 or len(centers_b) == 0:
         return _EMPTY_PAIRS
     reach = float(radii_a.max() + radii_b.max())
     if reach <= 0:
         return _EMPTY_PAIRS
-    lows_a, highs_a, box_a = _sphere_box(centers_a, radii_a)
-    lows_b, highs_b, box_b = _sphere_box(centers_b, radii_b)
-    ia = _meets_box(lows_a, highs_a, box_b)
-    ib = _meets_box(lows_b, highs_b, box_a)
-    if ia.size == 0 or ib.size == 0:
-        return _EMPTY_PAIRS
-    lo = np.maximum(box_a[0], box_b[0]) - 2.0 * reach
-    span = np.minimum(box_a[1], box_b[1]) + 2.0 * reach - lo
-    max_cells = 27 + _GRID_CELLS_PER_SPHERE * (ia.size + ib.size)
-    cell = max(reach, float(span.max()) / max_cells)
-    dims = np.floor(span / cell).astype(np.int64) + 3
-    while int(dims[0]) * int(dims[1]) * int(dims[2]) > max_cells:
-        cell *= 2.0
-        dims = np.floor(span / cell).astype(np.int64) + 3
+    lows, highs, box = _sphere_box(centers_a, radii_a)
+    grid = SphereGrid(centers_b, radii_b, reach, around=box)
+    return grid._pairs(centers_a, radii_a, _meets_box(lows, highs, grid.box))
 
-    def cell_keys(c: np.ndarray) -> np.ndarray:
-        idx = np.floor((c - lo) / cell).astype(np.int64) + 1
-        return (idx[:, 0] * dims[1] + idx[:, 1]) * dims[2] + idx[:, 2]
 
-    key_b = cell_keys(centers_b[ib])
-    order = np.argsort(key_b, kind="stable")
-    ib = ib[order]
-    ra, rb = radii_a[ia], radii_b[ib]
-    # x, z, then y: the order einsum("ij,ij->i") adds the squares in, so
-    # each pair's d2 keeps the bits of the (m, 3) form
-    cols_a = [centers_a[ia, k] for k in (0, 2, 1)]
-    cols_b = [centers_b[ib, k] for k in (0, 2, 1)]
-    # starts[k]: how many side-b spheres have a key below k
-    starts = np.zeros(int(dims.prod()) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(key_b, minlength=starts.size - 1), out=starts[1:])
-    # one range per (x, y) neighbour column, covering z - 1 .. z + 1
-    shifts = ((np.arange(-1, 2)[:, None] * dims[1]
-               + np.arange(-1, 2)[None, :]) * dims[2]).ravel()
-    query = (cell_keys(centers_a[ia])[:, None] + shifts[None, :]).ravel()
-    first = starts[query - 1]
-    count = starts[query + 2] - first
-    ranges = np.flatnonzero(count)
-    if ranges.size == 0:
-        return _EMPTY_PAIRS
-    rows = ranges // shifts.size
-    count = count[ranges]
-    ends = np.cumsum(count)
-    begin = ends - count
-    # pair p of range r tests side-a row rows[r] against b row p + offset[r]
-    offset = first[ranges] - begin
-    edges = np.searchsorted(begin, np.arange(0, int(ends[-1]),
-                                             _OVERLAP_BLOCK_PAIRS)).tolist()
-    out_i: List[np.ndarray] = []
-    out_j: List[np.ndarray] = []
-    for lo_r, hi_r in zip(edges, edges[1:] + [ranges.size]):
-        if lo_r == hi_r:
-            continue
-        n = count[lo_r:hi_r]
-        i = np.repeat(rows[lo_r:hi_r], n)
-        j = (np.arange(begin[lo_r], ends[hi_r - 1])
-             + np.repeat(offset[lo_r:hi_r], n))
-        d2 = np.zeros(len(i))
-        for xa, xb in zip(cols_a, cols_b):
-            d = xa[i]
-            d -= xb[j]
-            d *= d
-            d2 += d
-        rsum = ra[i]
-        rsum += rb[j]
-        rsum *= rsum
-        hit = d2 < rsum
-        if hit.any():
-            out_i.append(ia[i[hit]])
-            out_j.append(ib[j[hit]])
-    if not out_i:
-        return _EMPTY_PAIRS
-    return np.concatenate(out_i), np.concatenate(out_j)
+class OverlapCarry:
+    """The sphere overlaps of one candidate pair with a static side, carried
+    from frame to frame (the temporal coherence of Cohen et al.,
+    *I-COLLIDE*, I3D 1995).
+
+    ``static_side`` is 0 when object a never moves, 1 when object b does.
+    The static side's ``SphereGrid`` is built on first use and rebuilt only
+    when a query's reach outgrows it.  Each call keeps its overlaps; the
+    next call drops those whose moving-side sphere was rebuilt since (by
+    the ``SphereSet.built`` stamps) and queries only the rebuilt spheres.
+    A sphere that was not rebuilt did not change, so its overlaps did not
+    either, and the result is the pair set ``_overlap_candidates`` finds.
+    ``drop`` forgets the overlaps, for a frame the pair is not tested.
+    """
+
+    def __init__(self, static_side: int) -> None:
+        self.static_side = static_side
+        self.grid: Optional[SphereGrid] = None
+        self.overlaps: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self.updates = 0  # the moving set's update count at the last call
+
+    def drop(self) -> None:
+        self.overlaps = None
+
+    def candidates(self, set_a: SphereSet, set_b: SphereSet
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+        """The pair's overlaps as (side-a, side-b) index arrays."""
+        moving, fixed = ((set_b, set_a) if self.static_side == 0
+                         else (set_a, set_b))
+        if len(moving.radii) == 0 or len(fixed.radii) == 0:
+            return _EMPTY_PAIRS
+        if self.overlaps is None:
+            fresh = np.arange(len(moving.radii))
+            kept = _EMPTY_PAIRS
+        else:
+            fresh = np.flatnonzero(moving.built > self.updates)
+            stale = np.zeros(len(moving.radii), dtype=bool)
+            stale[fresh] = True
+            keep = ~stale[self.overlaps[0]]
+            kept = (self.overlaps[0][keep], self.overlaps[1][keep])
+        found = _EMPTY_PAIRS
+        if fresh.size:
+            radii = moving.radii[fresh]
+            if (self.grid is None or radii.max() + fixed.radii.max()
+                    > self.grid.limit):
+                reach = float(moving.radii.max() + fixed.radii.max())
+                if reach > 0:
+                    self.grid = SphereGrid(fixed.centers, fixed.radii, reach)
+            if self.grid is not None:
+                i, j = self.grid.query(moving.centers[fresh], radii)
+                found = (fresh[i], j)
+        self.overlaps = (np.concatenate([kept[0], found[0]]),
+                         np.concatenate([kept[1], found[1]]))
+        self.updates = moving.updates
+        return self.overlaps[::-1] if self.static_side == 0 else self.overlaps
 
 
 def _center_dirs(ia: np.ndarray, ib: np.ndarray,
@@ -297,7 +407,11 @@ def narrow_phase(pair: CandidatePair, objects: Sequence[NarrowInput],
     a = objects[pair.object_a]
     b = objects[pair.object_b]
     sa, sb = a.sphere_set, b.sphere_set
-    ia, ib = _overlap_candidates(sa.centers, sa.radii, sb.centers, sb.radii)
+    if pair.carry is None:
+        ia, ib = _overlap_candidates(sa.centers, sa.radii,
+                                     sb.centers, sb.radii)
+    else:
+        ia, ib = pair.carry.candidates(sa, sb)
     # cone validation, vectorized over candidates; the directions it tests
     # are the contact normals
     dirs = _center_dirs(ia, ib, sa.centers, sb.centers, a.normals)

@@ -24,10 +24,10 @@ from typing import (IO, Callable, Dict, List, Optional, Sequence, Tuple,
 
 import numpy as np
 
-from .detect import (CandidatePair, NarrowInput, baseline_bounding_ball,
-                     broad_phase, merge_contacts, min_bounding_spheres,
-                     narrow_phase, object_bounding_sphere,
-                     polygon_exact_contacts)
+from .detect import (CandidatePair, NarrowInput, OverlapCarry,
+                     baseline_bounding_ball, broad_phase, merge_contacts,
+                     min_bounding_spheres, narrow_phase,
+                     object_bounding_sphere, polygon_exact_contacts)
 from .mesh import TriangleMesh, compute_curvature, triangle_normals
 from .pbd import COLLISION_DTYPE, predict, solve_step
 from .scenes import SceneConfig, World, generate_scene
@@ -148,18 +148,26 @@ def tunneled_count(world: World) -> int:
 # A method's ``detect(meshes, pairs)`` returns each pair's (contacts, raw
 # overlap count), the frame's sphere rebuild count, and per object the
 # (centers, radii) of every triangle's sphere, from which
-# ``_collision_constraints`` reads the contacted triangles' spheres.
+# ``_collision_constraints`` reads the contacted triangles' spheres.  A
+# static object never moves, so each method works out what it needs of one
+# once, at set-up: its mesh in ``meshes`` is not read.
 Spheres = List[Tuple[np.ndarray, np.ndarray]]
 Detection = Tuple[List[Tuple[np.recarray, int]], int, Spheres]
 
 
 class _CircumsphereMethod:
-    """Curvature-adaptive circumspheres with lazy threshold updates."""
+    """Curvature-adaptive circumspheres with lazy threshold updates.
+
+    A static object's spheres and normals are fixed for the run, so it gets
+    no gate pass and no normals per frame, and a pair with a static side
+    carries its sphere overlaps from frame to frame (``OverlapCarry``).
+    """
 
     def __init__(self, world: World, config: SceneConfig) -> None:
         self.params: List[SphereParams] = []
         self.curvature = []
         self.sets = []
+        self.static = [obj.static for obj in world.objects]
         for obj in world.objects:
             params = SphereParams.for_mesh(
                 obj.rest_mesh,
@@ -170,35 +178,64 @@ class _CircumsphereMethod:
             self.params.append(params)
             self.curvature.append(curv)
             self.sets.append(build_sphere_set(obj.rest_mesh, curv, params))
+        self.fixed = [NarrowInput(sset, triangle_normals(obj.rest_mesh.corners),
+                                  obj.triangles) if obj.static else None
+                      for obj, sset in zip(world.objects, self.sets)]
+        self.carries: Dict[Tuple[int, int], OverlapCarry] = {}
+
+    def _carried(self, pairs: Sequence[CandidatePair]
+                 ) -> List[CandidatePair]:
+        """``pairs``, each with a static side given its carry; the carries
+        of the pairs not tested this frame drop their overlaps."""
+        out = []
+        tested = set()
+        for pair in pairs:
+            static_b = self.static[pair.object_b]
+            if self.static[pair.object_a] != static_b:
+                key = (pair.object_a, pair.object_b)
+                tested.add(key)
+                if key not in self.carries:
+                    self.carries[key] = OverlapCarry(static_side=int(static_b))
+                pair = replace(pair, carry=self.carries[key])
+            out.append(pair)
+        for key, carry in self.carries.items():
+            if key not in tested:
+                carry.drop()
+        return out
 
     def detect(self, meshes: Sequence[TriangleMesh],
                pairs: Sequence[CandidatePair]) -> Detection:
         rebuilds = 0
+        inputs = list(self.fixed)
         for i, mesh in enumerate(meshes):
-            rebuilds += update_spheres(self.sets[i], mesh, self.params[i],
-                                       self.curvature[i])
-        inputs = [NarrowInput(self.sets[i], triangle_normals(mesh.corners),
-                              mesh.triangles)
-                  for i, mesh in enumerate(meshes)]
+            if inputs[i] is None:
+                rebuilds += update_spheres(self.sets[i], mesh, self.params[i],
+                                           self.curvature[i])
+                inputs[i] = NarrowInput(self.sets[i],
+                                        triangle_normals(mesh.corners),
+                                        mesh.triangles)
         found = [narrow_phase(pair, inputs, self.params[pair.object_a])
-                 for pair in pairs]
+                 for pair in self._carried(pairs)]
         return found, rebuilds, [(s.centers, s.radii) for s in self.sets]
 
 
 def _bounding_ball(meshes: Sequence[TriangleMesh],
-                   pairs: Sequence[CandidatePair]) -> Detection:
-    """Per-triangle minimal bounding spheres, rebuilt from scratch per frame."""
-    spheres = [min_bounding_spheres(m.corners) for m in meshes]
+                   pairs: Sequence[CandidatePair], spheres: Spheres
+                   ) -> Detection:
+    """Per-triangle minimal bounding spheres, rebuilt from scratch every
+    frame (a static object's are computed once).  The rebuild count counts
+    every triangle of every object, static ones included, so that it keeps
+    its meaning in ``.det.csv``: the spheres the method uses a frame."""
     found = [baseline_bounding_ball(pair, spheres[pair.object_a],
                                     spheres[pair.object_b]) for pair in pairs]
     return found, sum(m.num_triangles for m in meshes), spheres
 
 
 def _polygon_exact(meshes: Sequence[TriangleMesh],
-                   pairs: Sequence[CandidatePair]) -> Detection:
+                   pairs: Sequence[CandidatePair], spheres: Spheres
+                   ) -> Detection:
     """Exact triangle-triangle intersection tests behind a plane prefilter;
     contacts carry the triangles' minimal bounding spheres."""
-    spheres = [min_bounding_spheres(m.corners) for m in meshes]
     found = []
     for pair in pairs:
         ma, mb = meshes[pair.object_a], meshes[pair.object_b]
@@ -214,7 +251,17 @@ def _detector(world: World, config: SceneConfig
     """The configured method's ``detect``."""
     if config.method == "circumsphere":
         return _CircumsphereMethod(world, config).detect
-    return _bounding_ball if config.method == "bounding-ball" else _polygon_exact
+    method = (_bounding_ball if config.method == "bounding-ball"
+              else _polygon_exact)
+    fixed = [min_bounding_spheres(obj.rest_mesh.corners) if obj.static
+             else None for obj in world.objects]
+
+    def detect(meshes: Sequence[TriangleMesh],
+               pairs: Sequence[CandidatePair]) -> Detection:
+        return method(meshes, pairs, [
+            min_bounding_spheres(mesh.corners) if spheres is None else spheres
+            for spheres, mesh in zip(fixed, meshes)])
+    return detect
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +334,12 @@ class _Reporter:
         if out_path is not None:
             path = Path(out_path)
             det = path.with_name(path.stem + ".det" + (path.suffix or ".csv"))
-            self._outs = [_open_csv(path, CSV_FIELDS),
-                          _open_csv(det, DET_FIELDS)]
+            self._outs = [_open_csv(path, CSV_FIELDS)]
+            try:
+                self._outs.append(_open_csv(det, DET_FIELDS))
+            except BaseException:
+                self.close()
+                raise
 
     def write(self, metrics: FrameMetrics) -> None:
         row = metrics.row()
@@ -317,6 +368,9 @@ def run_scene(config: SceneConfig,
     world = generate_scene(config)
     state = world.state
     detect = _detector(world, config)
+    # a static object keeps its assembly-time mesh, corner gather and bound
+    fixed = [object_bounding_sphere(o.rest_mesh) if o.static else None
+             for o in world.objects]
     reporter = _Reporter(out_path)
     metrics: List[FrameMetrics] = []
     try:
@@ -324,8 +378,11 @@ def run_scene(config: SceneConfig,
             predict(state, config)
             snapshot = state.predicted.copy() if frame_hook else None
             t0 = perf_counter()
-            meshes = [world.mesh_of(o, state.predicted) for o in world.objects]
-            bounds = [object_bounding_sphere(mesh) for mesh in meshes]
+            meshes = [o.rest_mesh if o.static
+                      else world.mesh_of(o, state.predicted)
+                      for o in world.objects]
+            bounds = [object_bounding_sphere(mesh) if bound is None else bound
+                      for bound, mesh in zip(fixed, meshes)]
             pairs = [p for p in broad_phase(bounds)
                      if not (world.objects[p.object_a].static
                              and world.objects[p.object_b].static)]

@@ -9,9 +9,14 @@ covers the triangle.  ``safety_angle = atan2(R_c, phi)`` is the half-angle of
 the normal safety cone used by contact validation.
 
 Spheres are rebuilt lazily: a triangle's sphere is refreshed only when its
-shape change (max vertex displacement since the last build, relative to the
-built radius) exceeds ``update_threshold_d``.  Curvature is computed once at
-initialization and reused for every rebuild; only geometry is refreshed.
+largest corner displacement since the last build, relative to the built
+radius, exceeds ``update_threshold_d``.  The displacement includes
+translation, so the gate does not tell a rigid motion from a shape change:
+a shell that only translates still rebuilds each sphere once it has moved
+``update_threshold_d`` of that sphere's radius.  Curvature is computed once at initialization and reused for every
+rebuild; only geometry is refreshed.  Each sphere keeps a build stamp, the
+number of the ``update_spheres`` call that last built it, so a caller can
+find the spheres rebuilt since any earlier call.
 """
 
 from __future__ import annotations
@@ -69,6 +74,10 @@ class SphereSet:
 
     ``ref_vertices`` holds the corners (as ``TriangleMesh.corners``) at each
     sphere's last build; the lazy-update gate measures against them.
+    ``updates`` counts the ``update_spheres`` calls so far, and
+    ``built[t]`` is the count at the call that last rebuilt sphere t (0 for
+    the initial build): the spheres rebuilt after call k are those with
+    ``built > k``.
     """
 
     def __init__(self, centers: np.ndarray, radii: np.ndarray,
@@ -77,6 +86,8 @@ class SphereSet:
         self.radii = radii
         self.safety_angles = safety_angles
         self.ref_vertices = ref_vertices
+        self.updates = 0
+        self.built = np.zeros(len(radii), dtype=np.int64)
 
 
 def _circumcenters_bulk(a, ab, ac, ab2, ac2):
@@ -153,22 +164,26 @@ def build_sphere_set(mesh: TriangleMesh, curvature: np.ndarray,
 
 def max_displacements(sset: SphereSet, corners: np.ndarray) -> np.ndarray:
     """Each triangle's largest corner displacement since its sphere was
-    built; over the built radius, it is the shape change."""
+    built, translation included; the gate divides it by the built radius."""
     deltas = [c - r for c, r in zip(corners, sset.ref_vertices)]
     return norm(deltas).max(axis=0)
 
 
 def update_spheres(sset: SphereSet, mesh: TriangleMesh, params: SphereParams,
                    curvature: np.ndarray) -> int:
-    """Rebuild exactly the spheres whose shape change exceeds the threshold.
+    """Rebuild exactly the spheres whose largest corner displacement, over
+    the built radius, exceeds the threshold.
 
-    Returns the number rebuilt.  Untouched spheres keep their snapshots.
-    Curvature values are the ones frozen at initialization.
+    Returns the number rebuilt, and stamps them in ``sset.built``.
+    Untouched spheres keep their snapshots.  Curvature values are the ones
+    frozen at initialization.
     """
     disp = max_displacements(sset, mesh.corners)
     idx = np.flatnonzero(disp / sset.radii > params.update_threshold_d)
+    sset.updates += 1
     if idx.size == 0:
         return 0
+    sset.built[idx] = sset.updates
     p = mesh.corners.take(idx, axis=2)
     centers, radii, safety = _place_spheres(p, curvature[idx], params)
     sset.centers[idx] = centers

@@ -19,14 +19,16 @@ from hypothesis import strategies as st
 
 from softsphere import detect
 from softsphere.detect import (BoundingSphere, CandidatePair, NarrowInput,
-                               _overlap_candidates, baseline_bounding_ball,
+                               OverlapCarry, _overlap_candidates,
+                               baseline_bounding_ball,
                                broad_phase,
                                exact_tri_tri, min_bounding_spheres,
                                narrow_phase, object_bounding_sphere,
                                plane_side_survivors, polygon_exact_contacts)
 from softsphere.mesh import (TriangleMesh, cloth_grid, compute_curvature,
                              icosphere, triangle_normals)
-from softsphere.spheres import SphereParams, SphereSet, build_sphere_set
+from softsphere.spheres import (SphereParams, SphereSet, build_sphere_set,
+                                update_spheres)
 
 from oracles import circumcenter
 
@@ -788,6 +790,121 @@ def test_overlap_candidates_zero_radii_find_nothing():
     c = np.zeros((4, 3))
     ia, ib = _overlap_candidates(c, np.zeros(4), c, np.zeros(4))
     assert ia.size == 0 and ib.size == 0
+
+
+# ---------------------------------------------------------------------------
+# overlaps carried between frames
+# ---------------------------------------------------------------------------
+
+
+def stamped_set(centers, radii) -> SphereSet:
+    return SphereSet(centers=centers, radii=radii,
+                     safety_angles=np.zeros(len(radii)),
+                     ref_vertices=np.zeros((3, 3, len(radii))))
+
+
+def rebuild(sset: SphereSet, idx, centers, radii) -> None:
+    """Move spheres ``idx`` and stamp them as ``update_spheres`` does."""
+    sset.updates += 1
+    sset.centers[idx] = centers
+    sset.radii[idx] = radii
+    sset.built[idx] = sset.updates
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), static_side=st.sampled_from([0, 1]),
+       steps=st.lists(st.sampled_from(["rebuild", "none", "skip"]),
+                      max_size=8),
+       grow_at=st.integers(0, 8), skip_at=st.integers(0, 8))
+def test_carried_overlaps_match_a_fresh_recount(seed, static_side, steps,
+                                                grow_at, skip_at):
+    """Over a random sequence of frames, each rebuilding a random subset of
+    the moving side's spheres, the carried overlaps are the pair set a
+    fresh ``_overlap_candidates`` finds.  One frame grows a rebuilt sphere
+    past the cached grid's cell, so the grid must be rebuilt; one frame
+    skips the pair (its spheres still move), so the carry must start over."""
+    rng = np.random.default_rng(seed)
+    steps = steps[:grow_at] + ["grow"] + steps[grow_at:]
+    steps = ["rebuild"] + steps[:skip_at] + ["skip"] + steps[skip_at:]
+    n_fixed, n_moving = rng.integers(1, 60, size=2)
+    fixed = stamped_set(rng.uniform(0, 1, size=(n_fixed, 3)),
+                        rng.uniform(0.02, 0.1, size=n_fixed))
+    moving = stamped_set(rng.uniform(0, 1, size=(n_moving, 3)),
+                         rng.uniform(0.02, 0.1, size=n_moving))
+    carry = OverlapCarry(static_side)
+    for step in steps:
+        idx = np.flatnonzero(rng.uniform(size=n_moving) < rng.uniform())
+        centers = moving.centers[idx] + rng.normal(scale=0.1,
+                                                   size=(idx.size, 3))
+        radii = rng.uniform(0.02, 0.1, size=idx.size)
+        grid = carry.grid
+        if step == "grow":
+            idx = np.union1d(idx, [0])
+            centers = moving.centers[idx]
+            radii = moving.radii[idx]
+            radii[0] = 1.5 * grid.limit
+        if step != "none":
+            rebuild(moving, idx, centers, radii)
+        if step == "skip":
+            carry.drop()
+            continue
+        sets = (fixed, moving) if static_side == 0 else (moving, fixed)
+        ia, ib = carry.candidates(*sets)
+        found = set(zip(ia.tolist(), ib.tolist()))
+        assert len(found) == ia.size, "a pair came out twice"
+        assert found == overlap_set(sets[0].centers, sets[0].radii,
+                                    sets[1].centers, sets[1].radii)
+        if step == "grow":
+            assert carry.grid is not grid, "the grid outgrown was kept"
+            assert carry.grid.limit >= moving.radii.max() + fixed.radii.max()
+
+
+def test_narrow_phase_with_a_carry_matches_a_fresh_call_bit_for_bit(
+        monkeypatch):
+    """A deforming shell pressed into a static one, its spheres kept by
+    ``update_spheres``: frame after frame, the carried pair returns the
+    contact rows and raw count of an uncarried call, and queries only the
+    rebuilt spheres once the first frame has passed."""
+    rng = np.random.default_rng(41)
+    rock = icosphere(2, 0.5)
+    soft = icosphere(2, 0.5, center=(0.9, 0.05, 0.0))
+    params = SphereParams.for_mesh(soft)
+    inputs = []
+    for mesh in (soft, rock):
+        sset = build_sphere_set(mesh, compute_curvature(mesh), params)
+        inputs.append(NarrowInput(sset, triangle_normals(mesh.corners),
+                                  mesh.triangles))
+    carry = OverlapCarry(static_side=1)
+    queried = []  # query sizes; an uncarried call does not go through query
+    real_query = detect.SphereGrid.query
+
+    def counting_query(grid, centers, radii):
+        queried.append(len(centers))
+        return real_query(grid, centers, radii)
+
+    monkeypatch.setattr(detect.SphereGrid, "query", counting_query)
+
+    verts = soft.vertices.copy()
+    rebuilds = []
+    for frame in range(12):
+        verts[:, 0] -= 0.01
+        verts += rng.normal(scale=2e-3, size=verts.shape)
+        mesh = TriangleMesh(verts.copy(), soft.triangles)
+        rebuilt = update_spheres(inputs[0].sphere_set, mesh, params,
+                                 compute_curvature(soft))
+        inputs[0] = NarrowInput(inputs[0].sphere_set,
+                                triangle_normals(mesh.corners), mesh.triangles)
+        fresh, raw = narrow_phase(CandidatePair(0, 1), inputs, params)
+        queried.clear()
+        carried, raw_c = narrow_phase(CandidatePair(0, 1, carry=carry),
+                                      inputs, params)
+        assert raw_c == raw
+        assert fresh.tobytes() == carried.tobytes()
+        assert sum(queried) == (len(soft.triangles) if frame == 0
+                                else rebuilt)
+        rebuilds.append(rebuilt)
+    assert raw > 0, "the shells must overlap for the test to bite"
+    assert 0 < sum(rebuilds[1:]) < 11 * len(soft.triangles), rebuilds
 
 
 # ---------------------------------------------------------------------------

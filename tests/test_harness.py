@@ -5,8 +5,10 @@ Scene-level expectations are computed from the scene definitions themselves
 assertions do not depend on the code under test for their expected values.
 """
 
+import gc
 import math
 import textwrap
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -864,6 +866,23 @@ def test_cli_sweep_rejects_an_empty_threshold_list(tmp_path, capsys):
     assert "bad threshold list: ','" in capsys.readouterr().err
 
 
+def test_cli_run_det_csv_that_cannot_be_created_closes_the_main_csv(
+        tmp_path, capsys):
+    """The main CSV opens, then its .det.csv companion is a directory: exit
+    2, and the main CSV's file handle is closed, not left to the garbage
+    collector (which would warn ResourceWarning)."""
+    out = tmp_path / "x.csv"
+    (tmp_path / "x.det.csv").mkdir()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli_main(["run", "sphere-drop-on-plane", "--frames", "2",
+                         "--out", str(out)])
+        gc.collect()
+    assert code == 2
+    assert "x.det.csv" in capsys.readouterr().err
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
 def test_cli_run_unwritable_out_exits_2(tmp_path, capsys):
     """An --out path below a regular file: exit 2, naming the path."""
     path = tmp_path / "tiny.ini"
@@ -962,3 +981,85 @@ def test_cli_instability_exits_3(capsys, monkeypatch):
     assert cli.main(["run", "sphere-drop-on-plane"]) == 3
     err = capsys.readouterr().err
     assert "solver instability" in err and "frame 7" in err
+
+
+# ---------------------------------------------------------------------------
+# static obstacles
+# ---------------------------------------------------------------------------
+
+
+def test_static_ball_is_worked_out_once_for_the_whole_run(monkeypatch):
+    """Over a whole cloth-over-sphere run the static ball's sphere set,
+    normals and bound stay bit-identical to their assembly-time values, and
+    once the frames start no lazy-gate pass, corner gather, normals or
+    bound is computed for it (the cloth gets all four every frame)."""
+    import softsphere.mesh as mesh_module
+
+    config = builtin_scene("cloth-over-sphere")
+    cloth, ball = generate_scene(config).objects
+    n_ball = ball.rest_mesh.num_triangles
+    assert ball.static and not cloth.static
+    assert n_ball != cloth.rest_mesh.num_triangles
+    normals = harness.triangle_normals(ball.rest_mesh.corners)
+    bound = harness.object_bounding_sphere(ball.rest_mesh)
+    built = []          # (set, copies of its arrays) per build_sphere_set
+    framing = []        # non-empty once the first frame has started
+    per_frame = {"gate": [], "gather": [], "normals": [], "bound": []}
+    checked = {"narrow": 0, "broad": 0}
+
+    def wrap(module, name, before=None, after=None):
+        real = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            if before is not None:
+                before(*args)
+            result = real(*args, **kwargs)
+            if after is not None:
+                after(args, result)
+            return result
+        monkeypatch.setattr(module, name, wrapped)
+
+    def during_frames(kind, size):
+        if framing:
+            per_frame[kind].append(size)
+
+    def keep_build(args, sset):
+        built.append((sset, [a.copy() for a in (
+            sset.centers, sset.radii, sset.safety_angles, sset.ref_vertices)]))
+
+    def check_narrow(pair, objects, params, *rest):
+        sset, copies = built[1]
+        given = objects[1]
+        assert given.sphere_set is sset
+        for now, then in zip((sset.centers, sset.radii, sset.safety_angles,
+                              sset.ref_vertices), copies):
+            assert np.array_equal(now, then)
+        assert np.array_equal(given.normals, normals)
+        checked["narrow"] += 1
+
+    def check_broad(bounds):
+        assert np.array_equal(bounds[1].center, bound.center)
+        assert bounds[1].radius == bound.radius
+        checked["broad"] += 1
+
+    wrap(harness, "predict", before=lambda *a: framing.append(True))
+    wrap(harness, "build_sphere_set", after=keep_build)
+    wrap(harness, "update_spheres",
+         before=lambda sset, *a: during_frames("gate", len(sset.radii)))
+    wrap(mesh_module, "triangle_corners",
+         before=lambda v, t: during_frames("gather", len(t)))
+    wrap(harness, "triangle_normals",
+         before=lambda c: during_frames("normals", c.shape[-1]))
+    wrap(harness, "object_bounding_sphere",
+         before=lambda m: during_frames("bound", m.num_triangles))
+    wrap(harness, "narrow_phase", before=check_narrow)
+    wrap(harness, "broad_phase", before=check_broad)
+
+    result = run_scene(config)
+    assert len(result.metrics) == config.frames
+    assert checked["broad"] == config.frames
+    assert checked["narrow"] > config.frames // 2
+    n_cloth = cloth.rest_mesh.num_triangles
+    for kind, sizes in per_frame.items():
+        assert n_ball not in sizes, f"a per-frame {kind} ran for the ball"
+        assert sizes.count(n_cloth) == config.frames, kind
