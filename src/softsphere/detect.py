@@ -336,9 +336,7 @@ class OverlapCarry:
             kept = _EMPTY_PAIRS
         else:
             fresh = np.flatnonzero(moving.built > self.updates)
-            stale = np.zeros(len(moving.radii), dtype=bool)
-            stale[fresh] = True
-            keep = ~stale[self.overlaps[0]]
+            keep = moving.built[self.overlaps[0]] <= self.updates
             kept = (self.overlaps[0][keep], self.overlaps[1][keep])
         found = _EMPTY_PAIRS
         if fresh.size:

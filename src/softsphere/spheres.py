@@ -13,10 +13,11 @@ largest corner displacement since the last build, relative to the built
 radius, exceeds ``update_threshold_d``.  The displacement includes
 translation, so the gate does not tell a rigid motion from a shape change:
 a shell that only translates still rebuilds each sphere once it has moved
-``update_threshold_d`` of that sphere's radius.  Curvature is computed once at initialization and reused for every
-rebuild; only geometry is refreshed.  Each sphere keeps a build stamp, the
-number of the ``update_spheres`` call that last built it, so a caller can
-find the spheres rebuilt since any earlier call.
+``update_threshold_d`` of that sphere's radius.  Curvature is computed once
+at initialization and reused for every rebuild; only geometry is refreshed.
+Each sphere keeps a build stamp, the number of the ``update_spheres`` call
+that last built it, so a caller can find the spheres rebuilt since any
+earlier call.
 """
 
 from __future__ import annotations

@@ -1063,3 +1063,21 @@ def test_static_ball_is_worked_out_once_for_the_whole_run(monkeypatch):
     for kind, sizes in per_frame.items():
         assert n_ball not in sizes, f"a per-frame {kind} ran for the ball"
         assert sizes.count(n_cloth) == config.frames, kind
+
+
+def test_a_pair_the_broad_phase_skips_drops_its_carried_overlaps():
+    """The static-side pair's carry keeps its overlaps while the pair is
+    tested, drops them on a frame the broad phase skips it, and is the
+    same carry when the pair comes back."""
+    config = builtin_scene("cloth-over-sphere")
+    world = generate_scene(config)
+    method = harness._CircumsphereMethod(world, config)
+    meshes = [obj.rest_mesh for obj in world.objects]
+    pair = [CandidatePair(0, 1)]
+    method.detect(meshes, pair)
+    carry = method.carries[0, 1]
+    assert carry.overlaps is not None
+    method.detect(meshes, [])
+    assert carry.overlaps is None
+    method.detect(meshes, pair)
+    assert method.carries[0, 1] is carry and carry.overlaps is not None
