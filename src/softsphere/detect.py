@@ -22,11 +22,12 @@ Sphere overlaps are found by a cull against the other side's bounding box,
 then a uniform grid (``SphereGrid``) over one side, of cells at least as
 wide as the largest radius sum, queried by the other side, with every pair
 test in float64.  A static object never moves, so a candidate pair with a
-static side carries its overlaps between frames (``OverlapCarry``): the
-static side's grid is built once, and each frame only the moving side's
-rebuilt spheres are queried against it.  Only the plane-side filter of
-``polygon-exact`` works in float32, on coordinates relative to the pair's
-common bounding-box centre and with a conservative margin; the
+static side carries its overlaps between calls (``OverlapCarry``): the
+static side's grid is built once, and each call queries against it only
+the moving side's spheres whose centre or radius differs from the values
+the carry saw last, keeping the others' overlaps.  Only the plane-side
+filter of ``polygon-exact`` works in float32, on coordinates relative to
+the pair's common bounding-box centre and with a conservative margin; the
 separating-axis test confirms its survivors in float64.
 
 Every candidate pair joins two distinct objects: a body collides with
@@ -302,27 +303,28 @@ def _overlap_candidates(centers_a: np.ndarray, radii_a: np.ndarray,
 
 class OverlapCarry:
     """The sphere overlaps of one candidate pair with a static side, carried
-    from frame to frame (the temporal coherence of Cohen et al.,
+    from call to call (the temporal coherence of Cohen et al.,
     *I-COLLIDE*, I3D 1995).
 
     ``static_side`` is 0 when object a never moves, 1 when object b does.
     The static side's ``SphereGrid`` is built on first use and rebuilt only
-    when a query's reach outgrows it.  Each call keeps its overlaps; the
-    next call drops those whose moving-side sphere was rebuilt since (by
-    the ``SphereSet.built`` stamps) and queries only the rebuilt spheres.
-    A sphere that was not rebuilt did not change, so its overlaps did not
-    either, and the result is the pair set ``_overlap_candidates`` finds.
-    ``drop`` forgets the overlaps, for a frame the pair is not tested.
+    when a query's reach outgrows it.  Whether two spheres overlap depends
+    only on their centres and radii, so the carry keys its overlaps on the
+    moving side's values: it keeps a copy of them from its last call,
+    queries again only the spheres whose centre or radius differs from that
+    copy, and keeps the overlaps of all the others.  The result is the pair
+    set ``_overlap_candidates`` finds, whatever changed between calls, on
+    frames the pair was not tested as well.
     """
 
     def __init__(self, static_side: int) -> None:
         self.static_side = static_side
         self.grid: Optional[SphereGrid] = None
-        self.overlaps: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self.updates = 0  # the moving set's update count at the last call
-
-    def drop(self) -> None:
-        self.overlaps = None
+        self.overlaps = _EMPTY_PAIRS
+        # the moving side's centres and radii at the last call, made on the
+        # first as NaN, which differs from every value
+        self.centers: Optional[np.ndarray] = None
+        self.radii: Optional[np.ndarray] = None
 
     def candidates(self, set_a: SphereSet, set_b: SphereSet
                    ) -> Tuple[np.ndarray, np.ndarray]:
@@ -331,27 +333,29 @@ class OverlapCarry:
                          else (set_a, set_b))
         if len(moving.radii) == 0 or len(fixed.radii) == 0:
             return _EMPTY_PAIRS
-        if self.overlaps is None:
-            fresh = np.arange(len(moving.radii))
-            kept = _EMPTY_PAIRS
-        else:
-            fresh = np.flatnonzero(moving.built > self.updates)
-            keep = moving.built[self.overlaps[0]] <= self.updates
-            kept = (self.overlaps[0][keep], self.overlaps[1][keep])
+        if self.radii is None:
+            self.centers = np.full(moving.centers.shape, np.nan)
+            self.radii = np.full(moving.radii.shape, np.nan)
+        # column by column: an (n, 3) axis reduction costs far more
+        changed = moving.radii != self.radii
+        for k in range(3):
+            changed |= moving.centers[:, k] != self.centers[:, k]
+        fresh = np.flatnonzero(changed)
+        keep = ~changed[self.overlaps[0]]
         found = _EMPTY_PAIRS
         if fresh.size:
-            radii = moving.radii[fresh]
-            if (self.grid is None or radii.max() + fixed.radii.max()
-                    > self.grid.limit):
+            centers, radii = moving.centers[fresh], moving.radii[fresh]
+            self.centers[fresh], self.radii[fresh] = centers, radii
+            if (self.grid is None
+                    or radii.max() + fixed.radii.max() > self.grid.limit):
                 reach = float(moving.radii.max() + fixed.radii.max())
                 if reach > 0:
                     self.grid = SphereGrid(fixed.centers, fixed.radii, reach)
             if self.grid is not None:
-                i, j = self.grid.query(moving.centers[fresh], radii)
+                i, j = self.grid.query(centers, radii)
                 found = (fresh[i], j)
-        self.overlaps = (np.concatenate([kept[0], found[0]]),
-                         np.concatenate([kept[1], found[1]]))
-        self.updates = moving.updates
+        self.overlaps = (np.concatenate([self.overlaps[0][keep], found[0]]),
+                         np.concatenate([self.overlaps[1][keep], found[1]]))
         return self.overlaps[::-1] if self.static_side == 0 else self.overlaps
 
 

@@ -159,15 +159,15 @@ class _CircumsphereMethod:
     """Curvature-adaptive circumspheres with lazy threshold updates.
 
     A static object's spheres and normals are fixed for the run, so it gets
-    no gate pass and no normals per frame, and a pair with a static side
-    carries its sphere overlaps from frame to frame (``OverlapCarry``).
+    no gate pass and no normals per frame.  Each object pair with exactly
+    one static side gets one ``OverlapCarry`` at set-up, which carries its
+    sphere overlaps from frame to frame.
     """
 
     def __init__(self, world: World, config: SceneConfig) -> None:
         self.params: List[SphereParams] = []
         self.curvature = []
         self.sets = []
-        self.static = [obj.static for obj in world.objects]
         for obj in world.objects:
             params = SphereParams.for_mesh(
                 obj.rest_mesh,
@@ -181,27 +181,10 @@ class _CircumsphereMethod:
         self.fixed = [NarrowInput(sset, triangle_normals(obj.rest_mesh.corners),
                                   obj.triangles) if obj.static else None
                       for obj, sset in zip(world.objects, self.sets)]
-        self.carries: Dict[Tuple[int, int], OverlapCarry] = {}
-
-    def _carried(self, pairs: Sequence[CandidatePair]
-                 ) -> List[CandidatePair]:
-        """``pairs``, each with a static side given its carry; the carries
-        of the pairs not tested this frame drop their overlaps."""
-        out = []
-        tested = set()
-        for pair in pairs:
-            static_b = self.static[pair.object_b]
-            if self.static[pair.object_a] != static_b:
-                key = (pair.object_a, pair.object_b)
-                tested.add(key)
-                if key not in self.carries:
-                    self.carries[key] = OverlapCarry(static_side=int(static_b))
-                pair = replace(pair, carry=self.carries[key])
-            out.append(pair)
-        for key, carry in self.carries.items():
-            if key not in tested:
-                carry.drop()
-        return out
+        self.carries = {
+            (a.index, b.index): OverlapCarry(static_side=int(b.static))
+            for a in world.objects for b in world.objects[a.index + 1:]
+            if a.static != b.static}
 
     def detect(self, meshes: Sequence[TriangleMesh],
                pairs: Sequence[CandidatePair]) -> Detection:
@@ -214,8 +197,11 @@ class _CircumsphereMethod:
                 inputs[i] = NarrowInput(self.sets[i],
                                         triangle_normals(mesh.corners),
                                         mesh.triangles)
-        found = [narrow_phase(pair, inputs, self.params[pair.object_a])
-                 for pair in self._carried(pairs)]
+        found = []
+        for pair in pairs:
+            carry = self.carries.get((pair.object_a, pair.object_b))
+            found.append(narrow_phase(replace(pair, carry=carry), inputs,
+                                      self.params[pair.object_a]))
         return found, rebuilds, [(s.centers, s.radii) for s in self.sets]
 
 
@@ -339,6 +325,7 @@ class _Reporter:
                 self._outs.append(_open_csv(det, DET_FIELDS))
             except BaseException:
                 self.close()
+                path.unlink()  # header only: no run wrote to it
                 raise
 
     def write(self, metrics: FrameMetrics) -> None:
@@ -447,16 +434,20 @@ def run_each(config: SceneConfig, field: str, values: Sequence,
     """Run the scene once per value of the ``SceneConfig`` field ``field``.
 
     Returns one row per run: ``{field: value}`` followed by ``summarize``.
-    With ``out_path`` the rows are also written there as CSV, with the
-    columns ``field`` and then ``SUMMARY_FIELDS``; the file is created
-    before the first run.
+    Every value is checked before the first run, so a bad one runs nothing
+    and creates no file.  With ``out_path`` the rows are also written there
+    as CSV, with the columns ``field`` and then ``SUMMARY_FIELDS``: the file
+    is created before the first run and each row is written when its run
+    finishes, so a run that fails leaves the rows of those before it.
     """
+    configs = [replace(config, **{field: value}) for value in values]
     fh, writer = (_open_csv(out_path, (field,) + SUMMARY_FIELDS)
                   if out_path is not None else (nullcontext(), None))
+    rows = []
     with fh:
-        rows = [{field: value,
-                 **summarize(run_scene(replace(config, **{field: value})))}
-                for value in values]
-        if writer is not None:
-            writer.writerows(rows)
+        for value, run_config in zip(values, configs):
+            rows.append({field: value, **summarize(run_scene(run_config))})
+            if writer is not None:
+                writer.writerow(rows[-1])
+                fh.flush()
     return rows

@@ -1,11 +1,10 @@
 """The ``.det.csv`` hash gate: a change that keeps behaviour keeps the bytes.
 
 ``softsphere run <scene> --method <m>`` writes a deterministic companion
-CSV whose sha256 is recorded in CHANGES.md.  This module reruns seven of
+CSV whose sha256 is recorded in CHANGES.md.  This module reruns eight of
 the nine scene × method pairs at their shipped frame counts and compares
-each file's sha256 with that record.  Cloth-over-sphere and
-two-sphere-impact under polygon-exact take too long for the suite and stay
-manual checks.
+each file's sha256 with that record.  Two-sphere-impact under
+polygon-exact takes too long for the suite and stays a manual check.
 
 The hashes depend on the summation order of numpy's einsum, so the test
 runs only under the numpy version they were recorded with.
@@ -27,6 +26,8 @@ DET_SHA256 = {
         "c5f186c5bc234f202853c763cc741e72b75eb75a24f3dd6397b1ead1fbf7c70d",
     ("cloth-over-sphere", "bounding-ball"):
         "cd1acc4f165e3a914586b20e3f57fac8426ca8feaffdb88db9198e1049e72420",
+    ("cloth-over-sphere", "polygon-exact"):
+        "4cc05e95b04aacb40757541d7b504de5c1f9ca572bbbcd8012e39ec01c27ba1e",
     ("two-sphere-impact", "circumsphere"):
         "62714d575ba0a0760133aad969a23ccd244fd0f1159db82b919033ff7ca2d9cb",
     ("two-sphere-impact", "bounding-ball"):

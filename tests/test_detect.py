@@ -11,6 +11,7 @@ predicate test relies on it.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -797,74 +798,101 @@ def test_overlap_candidates_zero_radii_find_nothing():
 # ---------------------------------------------------------------------------
 
 
-def stamped_set(centers, radii) -> SphereSet:
+def sphere_set(centers, radii) -> SphereSet:
     return SphereSet(centers=centers, radii=radii,
                      safety_angles=np.zeros(len(radii)),
                      ref_vertices=np.zeros((3, 3, len(radii))))
 
 
-def rebuild(sset: SphereSet, idx, centers, radii) -> None:
-    """Move spheres ``idx`` and stamp them as ``update_spheres`` does."""
-    sset.updates += 1
-    sset.centers[idx] = centers
-    sset.radii[idx] = radii
-    sset.built[idx] = sset.updates
+def counting_query(queried: list):
+    """``SphereGrid.query`` that also appends each call's query size to
+    ``queried``; an uncarried call does not go through ``query``."""
+    real_query = detect.SphereGrid.query
+
+    def query(grid, centers, radii):
+        queried.append(len(centers))
+        return real_query(grid, centers, radii)
+    return query
 
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), static_side=st.sampled_from([0, 1]),
-       steps=st.lists(st.sampled_from(["rebuild", "none", "skip"]),
+       steps=st.lists(st.sampled_from(["move", "none", "same", "skip"]),
                       max_size=8),
        grow_at=st.integers(0, 8), skip_at=st.integers(0, 8))
 def test_carried_overlaps_match_a_fresh_recount(seed, static_side, steps,
                                                 grow_at, skip_at):
-    """Over a random sequence of frames, each rebuilding a random subset of
-    the moving side's spheres, the carried overlaps are the pair set a
-    fresh ``_overlap_candidates`` finds.  One frame grows a rebuilt sphere
-    past the cached grid's cell, so the grid must be rebuilt; one frame
-    skips the pair (its spheres still move), so the carry must start over."""
+    """Over a random sequence of frames, each moving a random subset of the
+    moving side's spheres, the carried overlaps are the pair set a fresh
+    ``_overlap_candidates`` finds, and each call queries exactly the
+    spheres whose values differ from those at the carry's last call.  One
+    frame grows a sphere past the cached grid's cell, so the grid must be
+    rebuilt; "skip" frames move spheres without a call; "same" frames
+    rewrite spheres with bit-identical values, which need no query."""
     rng = np.random.default_rng(seed)
     steps = steps[:grow_at] + ["grow"] + steps[grow_at:]
-    steps = ["rebuild"] + steps[:skip_at] + ["skip"] + steps[skip_at:]
+    steps = ["move"] + steps[:skip_at] + ["skip"] + steps[skip_at:]
     n_fixed, n_moving = rng.integers(1, 60, size=2)
-    fixed = stamped_set(rng.uniform(0, 1, size=(n_fixed, 3)),
-                        rng.uniform(0.02, 0.1, size=n_fixed))
-    moving = stamped_set(rng.uniform(0, 1, size=(n_moving, 3)),
-                         rng.uniform(0.02, 0.1, size=n_moving))
+    fixed = sphere_set(rng.uniform(0, 1, size=(n_fixed, 3)),
+                       rng.uniform(0.02, 0.1, size=n_fixed))
+    moving = sphere_set(rng.uniform(0, 1, size=(n_moving, 3)),
+                        rng.uniform(0.02, 0.1, size=n_moving))
     carry = OverlapCarry(static_side)
-    for step in steps:
-        idx = np.flatnonzero(rng.uniform(size=n_moving) < rng.uniform())
-        centers = moving.centers[idx] + rng.normal(scale=0.1,
-                                                   size=(idx.size, 3))
-        radii = rng.uniform(0.02, 0.1, size=idx.size)
-        grid = carry.grid
-        if step == "grow":
-            idx = np.union1d(idx, [0])
+    seen = None  # the moving side's (centers, radii) at the last call
+    queried = []
+    with mock.patch.object(detect.SphereGrid, "query",
+                           counting_query(queried)):
+        for step in steps:
+            idx = np.flatnonzero(rng.uniform(size=n_moving) < rng.uniform())
             centers = moving.centers[idx]
             radii = moving.radii[idx]
-            radii[0] = 1.5 * grid.limit
-        if step != "none":
-            rebuild(moving, idx, centers, radii)
-        if step == "skip":
-            carry.drop()
-            continue
-        sets = (fixed, moving) if static_side == 0 else (moving, fixed)
-        ia, ib = carry.candidates(*sets)
-        found = set(zip(ia.tolist(), ib.tolist()))
-        assert len(found) == ia.size, "a pair came out twice"
-        assert found == overlap_set(sets[0].centers, sets[0].radii,
-                                    sets[1].centers, sets[1].radii)
-        if step == "grow":
-            assert carry.grid is not grid, "the grid outgrown was kept"
-            assert carry.grid.limit >= moving.radii.max() + fixed.radii.max()
+            # each moved sphere changes a random nonempty subset of its
+            # centre's x, y, z and its radius
+            which = rng.integers(1, 16, size=idx.size)
+            for k in range(3):
+                sel = (which >> k) & 1 == 1
+                centers[sel, k] += rng.normal(scale=0.1, size=sel.sum())
+            sel = which >= 8
+            radii[sel] = rng.uniform(0.02, 0.1, size=sel.sum())
+            grid = carry.grid
+            if step == "grow":
+                idx = np.union1d(idx, [0])
+                centers = moving.centers[idx]
+                radii = moving.radii[idx]
+                radii[0] = 1.5 * grid.limit
+            elif step == "same":
+                centers = moving.centers[idx]
+                radii = moving.radii[idx]
+            if step != "none":
+                moving.centers[idx] = centers
+                moving.radii[idx] = radii
+            if step == "skip":
+                continue
+            sets = (fixed, moving) if static_side == 0 else (moving, fixed)
+            queried.clear()
+            ia, ib = carry.candidates(*sets)
+            found = set(zip(ia.tolist(), ib.tolist()))
+            assert len(found) == ia.size, "a pair came out twice"
+            assert found == overlap_set(sets[0].centers, sets[0].radii,
+                                        sets[1].centers, sets[1].radii)
+            changed = (n_moving if seen is None else np.count_nonzero(
+                (moving.centers != seen[0]).any(axis=1)
+                | (moving.radii != seen[1])))
+            assert sum(queried) == changed
+            seen = (moving.centers.copy(), moving.radii.copy())
+            if step == "grow":
+                assert carry.grid is not grid, "the grid outgrown was kept"
+                assert (carry.grid.limit
+                        >= moving.radii.max() + fixed.radii.max())
 
 
 def test_narrow_phase_with_a_carry_matches_a_fresh_call_bit_for_bit(
         monkeypatch):
     """A deforming shell pressed into a static one, its spheres kept by
-    ``update_spheres``: frame after frame, the carried pair returns the
-    contact rows and raw count of an uncarried call, and queries only the
-    rebuilt spheres once the first frame has passed."""
+    ``update_spheres`` every frame: the carried pair returns the contact
+    rows and raw count of an uncarried call.  The carried call is left out
+    on some frames, and each carried call queries only the spheres rebuilt
+    since the last one (all of them on the first)."""
     rng = np.random.default_rng(41)
     rock = icosphere(2, 0.5)
     soft = icosphere(2, 0.5, center=(0.9, 0.05, 0.0))
@@ -875,23 +903,23 @@ def test_narrow_phase_with_a_carry_matches_a_fresh_call_bit_for_bit(
         inputs.append(NarrowInput(sset, triangle_normals(mesh.corners),
                                   mesh.triangles))
     carry = OverlapCarry(static_side=1)
-    queried = []  # query sizes; an uncarried call does not go through query
-    real_query = detect.SphereGrid.query
-
-    def counting_query(grid, centers, radii):
-        queried.append(len(centers))
-        return real_query(grid, centers, radii)
-
-    monkeypatch.setattr(detect.SphereGrid, "query", counting_query)
+    queried = []
+    monkeypatch.setattr(detect.SphereGrid, "query", counting_query(queried))
 
     verts = soft.vertices.copy()
+    gaps = {3, 6, 7}  # frames without a carried call
+    refs = None  # the soft shell's build corners at the last carried call
     rebuilds = []
+    after_gap = []
     for frame in range(12):
         verts[:, 0] -= 0.01
         verts += rng.normal(scale=2e-3, size=verts.shape)
         mesh = TriangleMesh(verts.copy(), soft.triangles)
         rebuilt = update_spheres(inputs[0].sphere_set, mesh, params,
                                  compute_curvature(soft))
+        rebuilds.append(rebuilt)
+        if frame in gaps:
+            continue
         inputs[0] = NarrowInput(inputs[0].sphere_set,
                                 triangle_normals(mesh.corners), mesh.triangles)
         fresh, raw = narrow_phase(CandidatePair(0, 1), inputs, params)
@@ -900,11 +928,16 @@ def test_narrow_phase_with_a_carry_matches_a_fresh_call_bit_for_bit(
                                       inputs, params)
         assert raw_c == raw
         assert fresh.tobytes() == carried.tobytes()
-        assert sum(queried) == (len(soft.triangles) if frame == 0
-                                else rebuilt)
-        rebuilds.append(rebuilt)
+        built = inputs[0].sphere_set.ref_vertices
+        since = (len(soft.triangles) if refs is None else
+                 np.count_nonzero((built != refs).any(axis=(0, 1))))
+        assert sum(queried) == since
+        if frame - 1 in gaps:
+            after_gap.append(since > rebuilt)
+        refs = built.copy()
     assert raw > 0, "the shells must overlap for the test to bite"
     assert 0 < sum(rebuilds[1:]) < 11 * len(soft.triangles), rebuilds
+    assert any(after_gap), "no gap held a rebuild the next frame lacked"
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,13 @@ import pytest
 
 import softsphere.harness as harness
 from softsphere.cli import main as cli_main
-from softsphere.detect import CandidatePair, merge_contacts
+from softsphere.detect import (CandidatePair, NarrowInput, merge_contacts,
+                               narrow_phase)
 from softsphere.harness import (CSV_FIELDS, DET_FIELDS, SUMMARY_FIELDS,
                                 FrameMetrics, _collision_constraints,
                                 _participating_vertices, run_each, run_scene,
                                 stability_metric, tunneled_count)
+from softsphere.mesh import TriangleMesh, triangle_normals
 from softsphere.pbd import SolverInstabilityError
 from softsphere.scenes import (ObjectSpec, SceneConfig, SceneError,
                                builtin_scene, generate_scene,
@@ -870,7 +872,7 @@ def test_cli_run_det_csv_that_cannot_be_created_closes_the_main_csv(
         tmp_path, capsys):
     """The main CSV opens, then its .det.csv companion is a directory: exit
     2, and the main CSV's file handle is closed, not left to the garbage
-    collector (which would warn ResourceWarning)."""
+    collector (which would warn ResourceWarning), and the file removed."""
     out = tmp_path / "x.csv"
     (tmp_path / "x.det.csv").mkdir()
     with warnings.catch_warnings(record=True) as caught:
@@ -881,6 +883,7 @@ def test_cli_run_det_csv_that_cannot_be_created_closes_the_main_csv(
     assert code == 2
     assert "x.det.csv" in capsys.readouterr().err
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    assert not out.exists(), "the header-only main CSV was left behind"
 
 
 def test_cli_run_unwritable_out_exits_2(tmp_path, capsys):
@@ -908,6 +911,41 @@ def test_cli_compare_unwritable_out_exits_2_before_any_run(
     assert cli_main(["compare", str(path), "--out", str(out)]) == 2
     assert f"error: cannot write {out}" in capsys.readouterr().err
     assert runs == [], "the CSV is opened before the first run"
+
+
+def test_cli_sweep_bad_last_value_exits_2_before_any_run(
+        tmp_path, capsys, monkeypatch):
+    """Every threshold is checked before the first run: a negative last one
+    exits 2 with nothing simulated and no CSV created."""
+    out = tmp_path / "sweep.csv"
+    runs = []
+    monkeypatch.setattr(harness, "run_scene",
+                        lambda config, *a, **k: runs.append(config))
+    assert cli_main(["sweep", "sphere-drop-on-plane", "--frames", "2",
+                     "--d", "0.7,0.9,-1", "--out", str(out)]) == 2
+    assert "update_threshold must be >= 0" in capsys.readouterr().err
+    assert runs == []
+    assert not out.exists()
+
+
+def test_run_each_writes_each_row_when_its_run_finishes(tmp_path,
+                                                        monkeypatch):
+    """A run that raises on the second value leaves the first value's row
+    in the CSV, next to the header."""
+    config = builtin_scene("sphere-drop-on-plane", frames=2)
+    out = tmp_path / "sweep.csv"
+    real = harness.run_scene
+
+    def second_fails(run_config, *args, **kwargs):
+        if run_config.update_threshold == 0.9:
+            raise SolverInstabilityError("diverged")
+        return real(run_config, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_scene", second_fails)
+    with pytest.raises(SolverInstabilityError):
+        run_each(config, "update_threshold", (0.7, 0.9), out_path=out)
+    lines = out.read_text().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("0.7,")
 
 
 def test_cli_compare_prints_a_table(tmp_path, capsys):
@@ -1065,19 +1103,31 @@ def test_static_ball_is_worked_out_once_for_the_whole_run(monkeypatch):
         assert sizes.count(n_cloth) == config.frames, kind
 
 
-def test_a_pair_the_broad_phase_skips_drops_its_carried_overlaps():
-    """The static-side pair's carry keeps its overlaps while the pair is
-    tested, drops them on a frame the broad phase skips it, and is the
-    same carry when the pair comes back."""
+def test_a_pair_the_broad_phase_skips_keeps_its_carry_exact():
+    """The static-side pair's carry is made at set-up, is the same carry
+    after a frame the broad phase skips the pair (the cloth moves on that
+    frame), and then gives the contacts of an uncarried call."""
     config = builtin_scene("cloth-over-sphere")
     world = generate_scene(config)
     method = harness._CircumsphereMethod(world, config)
-    meshes = [obj.rest_mesh for obj in world.objects]
-    pair = [CandidatePair(0, 1)]
-    method.detect(meshes, pair)
     carry = method.carries[0, 1]
-    assert carry.overlaps is not None
-    method.detect(meshes, [])
-    assert carry.overlaps is None
-    method.detect(meshes, pair)
-    assert method.carries[0, 1] is carry and carry.overlaps is not None
+    assert list(method.carries) == [(0, 1)]
+    cloth, ball = world.objects
+    pair = [CandidatePair(0, 1)]
+
+    def cloth_at(drop):
+        mesh = cloth.rest_mesh
+        return [TriangleMesh(mesh.vertices - [0.0, drop, 0.0], mesh.triangles),
+                ball.rest_mesh]
+
+    method.detect(cloth_at(0.1), pair)
+    method.detect(cloth_at(0.15), [])
+    meshes = cloth_at(0.2)
+    (found, raw), = method.detect(meshes, pair)[0]
+    assert method.carries[0, 1] is carry
+    inputs = [NarrowInput(method.sets[0], triangle_normals(meshes[0].corners),
+                          cloth.triangles), method.fixed[1]]
+    fresh, fresh_raw = narrow_phase(CandidatePair(0, 1), inputs,
+                                    method.params[0])
+    assert len(fresh) > 0, "the cloth must reach the ball for the test to bite"
+    assert raw == fresh_raw and found.tobytes() == fresh.tobytes()

@@ -506,31 +506,3 @@ def test_update_touches_only_spheres_past_the_gate():
     err = np.abs(dist - sset.radii[touches_v0][:, None])
     assert np.all(err <= 1e-6 * sset.radii[touches_v0][:, None])
 
-
-def test_update_stamps_name_exactly_the_spheres_rebuilt():
-    """Each call's rebuilt spheres, and only those, carry its number in
-    ``built``: the spheres with ``built > k`` are the union of the rebuilds
-    after call k, and a call that rebuilds nothing still counts."""
-    mesh, _, sset = _flat_set(n=6, spacing=0.2)
-    curvature = compute_curvature(mesh)
-    params = SphereParams(k_threshold=1.0, update_threshold_d=0.7)
-    assert sset.updates == 0 and not sset.built.any()
-    pos = mesh.vertices.copy()
-    touched = []
-    for vertex in (0, None, len(pos) - 1):
-        if vertex is not None:
-            pos[vertex] += np.array([0.0, 5.0, 0.0])
-        n = update_spheres(sset, TriangleMesh(pos.copy(), mesh.triangles),
-                           params, curvature)
-        touched.append(np.flatnonzero(np.any(mesh.triangles == vertex,
-                                             axis=1)))
-        assert n == touched[-1].size
-    assert sset.updates == 3
-
-    def rebuilt_since(k):
-        return np.flatnonzero(sset.built > k)
-
-    assert np.array_equal(rebuilt_since(2), touched[2])
-    assert np.array_equal(rebuilt_since(1), touched[2])
-    assert np.array_equal(rebuilt_since(0), np.union1d(touched[0], touched[2]))
-    assert rebuilt_since(3).size == 0
