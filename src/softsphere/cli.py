@@ -174,7 +174,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     except OSError as exc:
         if exc.filename is None:  # not a file's fault: a closed pipe, say
             raise
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        # name the file that failed (the .det.csv companion, say), but
+        # --out itself when it was a directory above it
+        failed = Path(exc.filename)
+        name = failed if failed.parent == Path(args.out).parent else args.out
+        print(f"error: cannot write {name}: {exc}", file=sys.stderr)
         return 2
     except SolverInstabilityError as exc:
         print(f"solver instability: {exc}", file=sys.stderr)

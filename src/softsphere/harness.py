@@ -128,13 +128,12 @@ def tunneled_count(world: World) -> int:
             continue
         pts = np.concatenate([world.positions_of(o) for o in others])
         vol = obj.check
-        if vol.kind == "sphere":
+        if vol.kind == "inscribed-sphere":
             dist = np.linalg.norm(pts - vol.center, axis=1)
             total += int(np.count_nonzero(dist < vol.radius))
         elif vol.kind == "halfspace":
-            signed = (pts - vol.center) @ vol.normal
-            total += int(np.count_nonzero(signed < 0))
-        else:  # mesh-parity against the object's current surface
+            total += int(np.count_nonzero(pts[:, 1] < vol.center[1]))
+        else:  # ray-parity against the object's current surface
             surf = world.positions_of(obj)[obj.triangles]
             total += int(np.count_nonzero(_ray_parity_inside(pts, surf)))
     return total

@@ -146,12 +146,23 @@ def bbox_diagonal(vertices: np.ndarray) -> float:
 
 
 def validate_mesh(mesh: TriangleMesh) -> None:
-    """Check the full mesh invariants (degeneracy, manifoldness).
+    """Check the full mesh invariants (finite geometry, degeneracy,
+    manifoldness).
 
     Index bounds are already enforced on construction; this adds the checks
     that need real geometry work and is called by loaders and generators.
+    Finite coordinates can still give an infinite area (``1e308``
+    overflows), so the areas are checked as well.
     """
-    areas = triangle_areas(mesh.vertices, mesh.triangles)
+    finite = np.isfinite(mesh.vertices).all(axis=1)
+    if not finite.all():
+        raise MeshError(f"vertex {int(np.argmin(finite))} has a non-finite "
+                        "coordinate")
+    with np.errstate(over="ignore", invalid="ignore"):
+        areas = triangle_areas(mesh.vertices, mesh.triangles)
+    bad = np.nonzero(~np.isfinite(areas))[0]
+    if bad.size:
+        raise MeshError(f"triangle {int(bad[0])} has a non-finite area")
     bad = np.nonzero(areas <= DEGENERATE_AREA)[0]
     if bad.size:
         raise MeshError(f"degenerate triangle {int(bad[0])} "
@@ -369,18 +380,3 @@ def cloth_grid(n: int, spacing: float,
     validate_mesh(mesh)
     return mesh
 
-
-def plane_floor(size: float, y: float = 0.0,
-                center_xz: Sequence[float] = (0.0, 0.0),
-                resolution: int = 1) -> TriangleMesh:
-    """Square floor grid at height y with +y normals.
-
-    ``resolution`` counts cells per side.  Collision spheres of flat
-    triangles scale with triangle size, so a floor meant for sphere-based
-    contact should be tessellated finely enough that the sphere standoff
-    stays small next to the objects resting on it.
-    """
-    if resolution < 1:
-        raise MeshError("floor resolution must be >= 1")
-    cx, cz = center_xz
-    return cloth_grid(resolution + 1, size / resolution, (cx, y, cz))

@@ -31,8 +31,7 @@ from typing import (Callable, Dict, List, Optional, Sequence, Tuple, Union,
 import numpy as np
 
 from .mesh import (MeshError, TriangleMesh, cloth_grid, icosphere, load_mesh,
-                   plane_floor, triangle_neighbors, triangle_normals,
-                   validate_mesh)
+                   triangle_neighbors, triangle_normals, validate_mesh)
 from .pbd import DistancePasses, ParticleState, distance_rows
 
 
@@ -41,7 +40,7 @@ class SceneError(Exception):
 
 
 METHODS = ("circumsphere", "bounding-ball", "polygon-exact")
-GENERATORS = ("cloth", "icosphere", "floor", "mesh")
+GENERATORS = ("cloth", "icosphere", "mesh")
 CHECKS = ("inscribed-sphere", "halfspace", "ray-parity")
 
 
@@ -67,8 +66,6 @@ class ObjectSpec:
     spacing: float = 0.05          # cloth: vertex spacing
     subdivision: int = 3           # icosphere
     radius: float = 0.5            # icosphere
-    size: float = 2.0              # floor: side length
-    resolution: int = 8            # floor: cells per side
     center: np.ndarray = field(default_factory=lambda: np.zeros(3))
     mesh_path: Optional[str] = None
     # physics
@@ -152,19 +149,19 @@ class SceneConfig:
 
 @dataclass
 class CheckVolume:
-    """Analytic region used by the tunneling metric.
+    """Analytic region used by the tunneling metric; ``kind`` is the
+    object's ``check`` value.
 
-    * ``sphere``: tunneled iff strictly inside the ball (|p-c| < r).
-    * ``halfspace``: tunneled iff strictly behind the plane
-      (dot(p - origin, normal) < 0).
-    * ``mesh-parity``: tunneled iff inside the object's current closed
+    * ``inscribed-sphere``: tunneled iff strictly inside the ball
+      (|p - center| < radius).
+    * ``halfspace``: tunneled iff strictly below the plane y = center y.
+    * ``ray-parity``: tunneled iff inside the object's current closed
       surface by ray-crossing parity.
     """
 
     kind: str
     center: np.ndarray = field(default_factory=lambda: np.zeros(3))
     radius: float = 0.0
-    normal: np.ndarray = field(default_factory=lambda: np.array([0.0, 1.0, 0.0]))
 
 
 @dataclass
@@ -215,10 +212,6 @@ def build_object_mesh(spec: ObjectSpec) -> TriangleMesh:
             mesh = cloth_grid(spec.n, spec.spacing, spec.center)
         elif spec.generator == "icosphere":
             mesh = icosphere(spec.subdivision, spec.radius, spec.center)
-        elif spec.generator == "floor":
-            mesh = plane_floor(spec.size, float(spec.center[1]),
-                               (float(spec.center[0]), float(spec.center[2])),
-                               resolution=spec.resolution)
         else:
             mesh = load_mesh(spec.mesh_path)
             if np.any(spec.center != 0):
@@ -265,20 +258,19 @@ def _resolve_check(spec: ObjectSpec, mesh: TriangleMesh) -> Optional[CheckVolume
         first = mesh.vertices[mesh.triangles[:, 0]]
         r_in = float(np.abs(np.einsum("ij,ij->i", normals,
                                       first - spec.center)).min())
-        return CheckVolume("sphere", center=spec.center.copy(), radius=r_in)
+        return CheckVolume(spec.check, center=spec.center.copy(), radius=r_in)
     if spec.check == "halfspace":
-        if spec.generator != "floor":
+        # a static cloth stays in its plane, y = center y
+        if spec.generator != "cloth" or spec.mass != 0:
             raise SceneError(f"object '{spec.name}': check=halfspace only "
-                             "applies to floors")
-        origin = np.array([spec.center[0], spec.center[1], spec.center[2]])
-        return CheckVolume("halfspace", center=origin,
-                           normal=np.array([0.0, 1.0, 0.0]))
+                             "applies to static cloths")
+        return CheckVolume(spec.check, center=spec.center.copy())
     # ray-parity needs a closed surface
     boundary = int((triangle_neighbors(mesh.triangles) < 0).sum())
     if boundary:
         raise SceneError(f"object '{spec.name}': check=ray-parity needs a "
                          f"closed mesh, found {boundary} boundary edges")
-    return CheckVolume("mesh-parity")
+    return CheckVolume(spec.check)
 
 
 def generate_scene(config: SceneConfig) -> World:
@@ -491,12 +483,12 @@ def two_sphere_impact() -> SceneConfig:
 
 
 def sphere_drop_on_plane() -> SceneConfig:
-    """A deformable sphere falling onto a tessellated static floor."""
+    """A deformable sphere falling onto a static floor: a 2 m square cloth
+    grid of 16 x 16 cells."""
     ball = ObjectSpec(name="ball", generator="icosphere", subdivision=2,
                       radius=0.3, center=np.array([0.0, 1.0, 0.0]), mass=0.01)
-    floor = ObjectSpec(name="floor", generator="floor", size=2.0,
-                       resolution=16, center=np.zeros(3), mass=0.0,
-                       check="halfspace")
+    floor = ObjectSpec(name="floor", generator="cloth", n=17, spacing=0.125,
+                       center=np.zeros(3), mass=0.0, check="halfspace")
     return SceneConfig(name="sphere-drop-on-plane", objects=[ball, floor],
                        dt=1.0 / 60.0, frames=120, iterations=8)
 

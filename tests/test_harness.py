@@ -119,8 +119,7 @@ def test_tunneled_is_strict_so_the_surface_does_not_count():
 
 
 def test_tunneled_halfspace_strictly_below_the_floor():
-    floor = ObjectSpec(name="floor", generator="floor", size=4.0, resolution=2,
-                       mass=0.0, check="halfspace")
+    floor = cloth_spec(name="floor", spacing=2.0, mass=0.0, check="halfspace")
     below = scene_of(cloth_spec(center=(0.0, -1.0, 0.0)), floor)
     assert tunneled_count(generate_scene(below)) == 9
     above = scene_of(cloth_spec(center=(0.0, 1.0, 0.0)), floor)
@@ -319,8 +318,12 @@ def _nameless_object_file(tmp_path):
         cloth_spec(check="inscribed-sphere"))),
                  "only applies to icospheres", id="inscribed-sphere-on-cloth"),
     pytest.param(lambda _: generate_scene(scene_of(
-        ball_spec(check="halfspace"))),
-                 "only applies to floors", id="halfspace-on-ball"),
+        ball_spec(mass=0.0, check="halfspace"))),
+                 "only applies to static cloths", id="halfspace-on-ball"),
+    pytest.param(lambda _: generate_scene(scene_of(
+        cloth_spec(check="halfspace"))),
+                 "only applies to static cloths",
+                 id="halfspace-on-moving-cloth"),
     pytest.param(lambda _: generate_scene(scene_of(cloth_spec(pinned="0 x"))),
                  "pinned must be", id="pinned-token"),
     pytest.param(lambda _: builtin_scene("cloth-over-cube"),
@@ -448,6 +451,13 @@ def test_parse_scene_file_mesh_paths_resolve_next_to_the_file(tmp_path):
      "three numbers"),
     ("[scene]\n\n[object:c]\ngenerator = cloth\ncenter = -inf 0 0\n",
      "three numbers"),
+    # a floor is a static cloth: there is no floor generator or its keys
+    ("[scene]\n\n[object:f]\ngenerator = floor\n",
+     "unknown generator 'floor'"),
+    ("[scene]\n\n[object:f]\ngenerator = cloth\nsize = 2\n",
+     "unknown key 'size'"),
+    ("[scene]\n\n[object:f]\ngenerator = cloth\nresolution = 16\n",
+     "unknown key 'resolution'"),
 ])
 def test_parse_scene_file_rejects_malformed_input(tmp_path, body, message):
     path = tmp_path / "bad.ini"
@@ -633,6 +643,37 @@ def test_run_scene_companion_csv_is_deterministic(tmp_path):
     b = (tmp_path / "b.det.csv").read_bytes()
     assert a == b
     assert len(a.splitlines()) == 16
+
+
+def test_static_cloth_floor_in_a_scene_file_matches_the_builtin(tmp_path):
+    """sphere-drop-on-plane written as an INI file, its floor a static
+    cloth, gives the built-in run's companion byte for byte."""
+    path = tmp_path / "drop.ini"
+    path.write_text(textwrap.dedent(f"""\
+        [scene]
+        dt = {1.0 / 60.0!r}
+        frames = 120
+        iterations = 8
+
+        [object:ball]
+        generator = icosphere
+        subdivision = 2
+        radius = 0.3
+        center = 0 1 0
+        mass = 0.01
+
+        [object:floor]
+        generator = cloth
+        n = 17
+        spacing = 0.125
+        mass = 0
+        check = halfspace
+        """))
+    run_scene(parse_scene_file(path), out_path=tmp_path / "file.csv")
+    run_scene(builtin_scene("sphere-drop-on-plane"),
+              out_path=tmp_path / "builtin.csv")
+    assert ((tmp_path / "file.det.csv").read_bytes()
+            == (tmp_path / "builtin.det.csv").read_bytes())
 
 
 def test_run_scene_keeps_partial_csv_on_instability(tmp_path):
@@ -824,6 +865,24 @@ def test_cli_unreadable_mesh_file_exits_2(tmp_path, capsys, content):
     assert "object 'part'" in err and f"cannot read mesh file {mesh}" in err
 
 
+@pytest.mark.parametrize("coordinate,message", [
+    ("nan", "vertex 0 has a non-finite coordinate"),
+    ("inf", "vertex 0 has a non-finite coordinate"),
+    ("1e308", "triangle 0 has a non-finite area"),
+])
+def test_cli_non_finite_mesh_file_exits_2(tmp_path, capsys, coordinate,
+                                          message):
+    """A tetrahedron with one bad coordinate: a one-line error, exit 2."""
+    (tmp_path / "tet.obj").write_text(
+        f"v 0 0 {coordinate}\nv 1 0 0\nv 0 1 0\nv 0 0 1\n"
+        "f 1 3 2\nf 1 2 4\nf 1 4 3\nf 2 3 4\n")
+    path = tmp_path / "scene.ini"
+    path.write_text("[scene]\nframes = 1\n\n[object:tet]\n"
+                    "generator = mesh\nmesh = tet.obj\n")
+    assert cli_main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: object 'tet': {message}\n"
+
+
 @pytest.mark.parametrize("setting,args,message", [
     pytest.param("flat_scale = 0.5", [], "flat_scale must be >= 1",
                  id="flat-scale"),
@@ -881,9 +940,21 @@ def test_cli_run_det_csv_that_cannot_be_created_closes_the_main_csv(
                          "--out", str(out)])
         gc.collect()
     assert code == 2
-    assert "x.det.csv" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot write {tmp_path / 'x.det.csv'}: ")
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
     assert not out.exists(), "the header-only main CSV was left behind"
+
+
+def test_cli_error_names_the_det_csv_companion_of_an_out_without_suffix(
+        tmp_path, capsys):
+    """``--out x`` writes ``x`` and ``x.det.csv``; when only the companion
+    cannot be created, the error names it."""
+    (tmp_path / "x.det.csv").mkdir()
+    assert cli_main(["run", "sphere-drop-on-plane", "--frames", "2",
+                     "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {tmp_path / 'x.det.csv'}: ")
 
 
 def test_cli_run_unwritable_out_exits_2(tmp_path, capsys):

@@ -19,7 +19,7 @@ import oracles
 from oracles import save_mesh
 from softsphere.mesh import (MeshError, TriangleMesh, bbox_diagonal,
                              cloth_grid, compute_curvature, icosphere,
-                             load_mesh, plane_floor, triangle_areas,
+                             load_mesh, triangle_areas,
                              triangle_neighbors, triangle_normals,
                              validate_mesh)
 
@@ -117,6 +117,33 @@ def test_load_rejects_unknown_tags_and_bad_numbers(tmp_path):
         load_mesh(p)
 
 
+TETRAHEDRON = "v 0 0 {}\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 3 2\nf 1 2 4\nf 1 4 3\nf 2 3 4\n"
+
+
+@pytest.mark.parametrize("coordinate,message", [
+    ("nan", "vertex 0 has a non-finite coordinate"),
+    ("-inf", "vertex 0 has a non-finite coordinate"),
+    # finite, but the areas of the faces on vertex 0 overflow
+    ("1e308", "triangle 0 has a non-finite area"),
+])
+def test_load_rejects_non_finite_geometry(tmp_path, coordinate, message):
+    """Rejected at load, with no RuntimeWarning from the overflow (the
+    suite turns warnings into errors)."""
+    p = tmp_path / "tet.obj"
+    p.write_text(TETRAHEDRON.format(coordinate))
+    with pytest.raises(MeshError, match=message):
+        load_mesh(p)
+    p.write_text(TETRAHEDRON.format(-1))
+    assert load_mesh(p).num_triangles == 4, "the finite tetrahedron loads"
+
+
+def test_generators_reject_non_finite_geometry():
+    with pytest.raises(MeshError, match="non-finite area"):
+        cloth_grid(3, 1e200)
+    with pytest.raises(MeshError, match="non-finite coordinate"):
+        cloth_grid(3, 0.1, (0.0, math.inf, 0.0))
+
+
 def test_save_load_roundtrip_icosphere_sub2(tmp_path):
     mesh = icosphere(2, radius=1.0)
     assert mesh.num_vertices == 162   # 10 * 4^2 + 2
@@ -172,16 +199,15 @@ def test_icosphere_equals_the_loop_oracle_bit_for_bit(subdivision, radius,
 
 @pytest.mark.parametrize("n", range(2, 26))
 def test_cloth_grid_and_floor_equal_the_loop_oracle_bit_for_bit(n):
+    """A floor is a static cloth grid; the last settings tile a 2 m square
+    with n - 1 cells per side, as sphere-drop-on-plane's floor does."""
     for spacing, center in ((0.06, (0.0, 0.62, 0.0)),
-                            (0.37, (-1.5, 2.0, 1e2))):
+                            (0.37, (-1.5, 2.0, 1e2)),
+                            (2.0 / (n - 1), (0.5, -0.25, 0.0))):
         mesh = cloth_grid(n, spacing, center)
         V, F = oracles.cloth_grid(n, spacing, center)
         assert same_bits(mesh.vertices, V)
         assert same_bits(mesh.triangles, F)
-    floor = plane_floor(2.0, -0.25, (0.5, 0.0), resolution=n - 1)
-    V, F = oracles.cloth_grid(n, 2.0 / (n - 1), (0.5, -0.25, 0.0))
-    assert same_bits(floor.vertices, V)
-    assert same_bits(floor.triangles, F)
 
 
 def test_cloth_grid_counts_and_plane():
@@ -191,16 +217,6 @@ def test_cloth_grid_counts_and_plane():
     assert np.allclose(mesh.vertices[:, 1], 0.0)
     normals = triangle_normals(mesh.corners)
     assert np.allclose(normals, [0.0, 1.0, 0.0], atol=1e-12)
-
-
-def test_plane_floor_is_a_tessellated_grid():
-    mesh = plane_floor(2.0, y=-0.25, resolution=4)
-    assert mesh.num_vertices == 25
-    assert mesh.num_triangles == 32
-    assert np.allclose(mesh.vertices[:, 1], -0.25)
-    assert np.isclose(mesh.vertices[:, 0].max() - mesh.vertices[:, 0].min(), 2.0)
-    with pytest.raises(MeshError, match="resolution"):
-        plane_floor(1.0, resolution=0)
 
 
 # ---------------------------------------------------------------------------
