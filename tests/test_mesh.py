@@ -117,7 +117,8 @@ def test_load_rejects_unknown_tags_and_bad_numbers(tmp_path):
         load_mesh(p)
 
 
-TETRAHEDRON = "v 0 0 {}\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 3 2\nf 1 2 4\nf 1 4 3\nf 2 3 4\n"
+TETRAHEDRON = ("v 0 0 {}\nv 1 0 0\nv 0 1 0\nv 0 0 1\n"
+               "f 1 3 2\nf 1 2 4\nf 1 4 3\nf 2 3 4\n")
 
 
 @pytest.mark.parametrize("coordinate,message", [
