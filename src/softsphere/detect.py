@@ -306,25 +306,26 @@ class OverlapCarry:
     from call to call (the temporal coherence of Cohen et al.,
     *I-COLLIDE*, I3D 1995).
 
-    ``static_side`` is 0 when object a never moves, 1 when object b does.
-    The static side's ``SphereGrid`` is built on first use and rebuilt only
-    when a query's reach outgrows it.  Whether two spheres overlap depends
-    only on their centres and radii, so the carry keys its overlaps on the
-    moving side's values: it keeps a copy of them from its last call,
-    queries again only the spheres whose centre or radius differs from that
-    copy, and keeps the overlaps of all the others.  The result is the pair
-    set ``_overlap_candidates`` finds, whatever changed between calls, on
+    ``static_side`` is 0 when object a never moves, 1 when object b does;
+    ``moving_count`` is the moving object's number of spheres.  The static
+    side's ``SphereGrid`` is built on first use and rebuilt only when a
+    query's reach outgrows it.  Whether two spheres overlap depends only on
+    their centres and radii, so the carry keys its overlaps on the moving
+    side's values: it keeps a copy of them from its last call, queries
+    again only the spheres whose centre or radius differs from that copy,
+    and keeps the overlaps of all the others.  The result is the pair set
+    ``_overlap_candidates`` finds, whatever changed between calls, on
     frames the pair was not tested as well.
     """
 
-    def __init__(self, static_side: int) -> None:
+    def __init__(self, static_side: int, moving_count: int) -> None:
         self.static_side = static_side
         self.grid: Optional[SphereGrid] = None
         self.overlaps = _EMPTY_PAIRS
-        # the moving side's centres and radii at the last call, made on the
-        # first as NaN, which differs from every value
-        self.centers: Optional[np.ndarray] = None
-        self.radii: Optional[np.ndarray] = None
+        # the moving side's centres and radii at the last call, NaN before
+        # the first, which differs from every value
+        self.centers = np.full((moving_count, 3), np.nan)
+        self.radii = np.full(moving_count, np.nan)
 
     def candidates(self, set_a: SphereSet, set_b: SphereSet
                    ) -> Tuple[np.ndarray, np.ndarray]:
@@ -333,9 +334,6 @@ class OverlapCarry:
                          else (set_a, set_b))
         if len(moving.radii) == 0 or len(fixed.radii) == 0:
             return _EMPTY_PAIRS
-        if self.radii is None:
-            self.centers = np.full(moving.centers.shape, np.nan)
-            self.radii = np.full(moving.radii.shape, np.nan)
         # column by column: an (n, 3) axis reduction costs far more
         changed = moving.radii != self.radii
         for k in range(3):

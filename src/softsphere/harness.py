@@ -144,12 +144,12 @@ def tunneled_count(world: World) -> int:
 # ---------------------------------------------------------------------------
 
 
-# A method's ``detect(meshes, pairs)`` returns each pair's (contacts, raw
-# overlap count), the frame's sphere rebuild count, and per object the
+# Each method is a driver class: its constructor takes ``(world, config)``
+# and works out once, at set-up, what it needs of each static object, which
+# never moves.  Its ``detect(meshes, pairs)`` returns each pair's (contacts,
+# raw overlap count), the frame's sphere rebuild count, and per object the
 # (centers, radii) of every triangle's sphere, from which
-# ``_collision_constraints`` reads the contacted triangles' spheres.  A
-# static object never moves, so each method works out what it needs of one
-# once, at set-up: its mesh in ``meshes`` is not read.
+# ``_collision_constraints`` reads the contacted triangles' spheres.
 Spheres = List[Tuple[np.ndarray, np.ndarray]]
 Detection = Tuple[List[Tuple[np.recarray, int]], int, Spheres]
 
@@ -165,7 +165,6 @@ class _CircumsphereMethod:
 
     def __init__(self, world: World, config: SceneConfig) -> None:
         self.params: List[SphereParams] = []
-        self.curvature = []
         self.sets = []
         for obj in world.objects:
             params = SphereParams.for_mesh(
@@ -173,15 +172,16 @@ class _CircumsphereMethod:
                 update_threshold_d=config.update_threshold,
                 cone_tolerance=math.radians(config.cone_tolerance_deg),
                 flat_scale=config.flat_scale)
-            curv = compute_curvature(obj.rest_mesh)
             self.params.append(params)
-            self.curvature.append(curv)
-            self.sets.append(build_sphere_set(obj.rest_mesh, curv, params))
+            self.sets.append(build_sphere_set(
+                obj.rest_mesh, compute_curvature(obj.rest_mesh), params))
         self.fixed = [NarrowInput(sset, triangle_normals(obj.rest_mesh.corners),
                                   obj.triangles) if obj.static else None
                       for obj, sset in zip(world.objects, self.sets)]
         self.carries = {
-            (a.index, b.index): OverlapCarry(static_side=int(b.static))
+            (a.index, b.index): OverlapCarry(
+                static_side=int(b.static),
+                moving_count=(a if b.static else b).rest_mesh.num_triangles)
             for a in world.objects for b in world.objects[a.index + 1:]
             if a.static != b.static}
 
@@ -191,8 +191,7 @@ class _CircumsphereMethod:
         inputs = list(self.fixed)
         for i, mesh in enumerate(meshes):
             if inputs[i] is None:
-                rebuilds += update_spheres(self.sets[i], mesh, self.params[i],
-                                           self.curvature[i])
+                rebuilds += update_spheres(self.sets[i], mesh, self.params[i])
                 inputs[i] = NarrowInput(self.sets[i],
                                         triangle_normals(mesh.corners),
                                         mesh.triangles)
@@ -204,49 +203,39 @@ class _CircumsphereMethod:
         return found, rebuilds, [(s.centers, s.radii) for s in self.sets]
 
 
-def _bounding_ball(meshes: Sequence[TriangleMesh],
-                   pairs: Sequence[CandidatePair], spheres: Spheres
-                   ) -> Detection:
-    """Per-triangle minimal bounding spheres, rebuilt from scratch every
-    frame (a static object's are computed once).  The rebuild count counts
-    every triangle of every object, static ones included, so that it keeps
-    its meaning in ``.det.csv``: the spheres the method uses a frame."""
-    found = [baseline_bounding_ball(pair, spheres[pair.object_a],
-                                    spheres[pair.object_b]) for pair in pairs]
-    return found, sum(m.num_triangles for m in meshes), spheres
+class _BaselineMethod:
+    """The two baselines, on per-triangle minimal bounding spheres rebuilt
+    from scratch every frame (a static object's are worked out once).
 
+    ``bounding-ball`` reports every sphere overlap as a contact.  Its
+    rebuild count counts every triangle of every object, static ones
+    included, so that it keeps its meaning in ``.det.csv``: the spheres the
+    method uses a frame.  ``polygon-exact`` runs exact triangle-triangle
+    tests behind a plane prefilter, its contacts carrying the triangles'
+    minimal spheres, and rebuilds nothing.
+    """
 
-def _polygon_exact(meshes: Sequence[TriangleMesh],
-                   pairs: Sequence[CandidatePair], spheres: Spheres
-                   ) -> Detection:
-    """Exact triangle-triangle intersection tests behind a plane prefilter;
-    contacts carry the triangles' minimal bounding spheres."""
-    found = []
-    for pair in pairs:
-        ma, mb = meshes[pair.object_a], meshes[pair.object_b]
-        found.append(polygon_exact_contacts(
-            pair, ma.vertices, ma.triangles, mb.vertices, mb.triangles,
-            spheres[pair.object_a], spheres[pair.object_b]))
-    return found, 0, spheres
+    def __init__(self, world: World, config: SceneConfig) -> None:
+        self.exact = config.method == "polygon-exact"
+        self.fixed = [min_bounding_spheres(obj.rest_mesh.corners)
+                      if obj.static else None for obj in world.objects]
 
-
-def _detector(world: World, config: SceneConfig
-              ) -> Callable[[Sequence[TriangleMesh], Sequence[CandidatePair]],
-                            Detection]:
-    """The configured method's ``detect``."""
-    if config.method == "circumsphere":
-        return _CircumsphereMethod(world, config).detect
-    method = (_bounding_ball if config.method == "bounding-ball"
-              else _polygon_exact)
-    fixed = [min_bounding_spheres(obj.rest_mesh.corners) if obj.static
-             else None for obj in world.objects]
-
-    def detect(meshes: Sequence[TriangleMesh],
+    def detect(self, meshes: Sequence[TriangleMesh],
                pairs: Sequence[CandidatePair]) -> Detection:
-        return method(meshes, pairs, [
-            min_bounding_spheres(mesh.corners) if spheres is None else spheres
-            for spheres, mesh in zip(fixed, meshes)])
-    return detect
+        spheres = [min_bounding_spheres(mesh.corners) if fixed is None
+                   else fixed for fixed, mesh in zip(self.fixed, meshes)]
+        if not self.exact:
+            found = [baseline_bounding_ball(pair, spheres[pair.object_a],
+                                            spheres[pair.object_b])
+                     for pair in pairs]
+            return found, sum(m.num_triangles for m in meshes), spheres
+        found = []
+        for pair in pairs:
+            ma, mb = meshes[pair.object_a], meshes[pair.object_b]
+            found.append(polygon_exact_contacts(
+                pair, ma.vertices, ma.triangles, mb.vertices, mb.triangles,
+                spheres[pair.object_a], spheres[pair.object_b]))
+        return found, 0, spheres
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +342,8 @@ def run_scene(config: SceneConfig,
     """
     world = generate_scene(config)
     state = world.state
-    detect = _detector(world, config)
+    method = (_CircumsphereMethod if config.method == "circumsphere"
+              else _BaselineMethod)(world, config)
     # a static object keeps its assembly-time mesh, corner gather and bound
     fixed = [object_bounding_sphere(o.rest_mesh) if o.static else None
              for o in world.objects]
@@ -372,7 +362,7 @@ def run_scene(config: SceneConfig,
             pairs = [p for p in broad_phase(bounds)
                      if not (world.objects[p.object_a].static
                              and world.objects[p.object_b].static)]
-            found, rebuilds, spheres = detect(meshes, pairs)
+            found, rebuilds, spheres = method.detect(meshes, pairs)
             contacts = merge_contacts([c for c, _ in found])
             raw = sum(r for _, r in found)
             detect_time = perf_counter() - t0

@@ -151,8 +151,9 @@ def validate_mesh(mesh: TriangleMesh) -> None:
 
     Index bounds are already enforced on construction; this adds the checks
     that need real geometry work and is called by loaders and generators.
-    Finite coordinates can still give an infinite area (``1e308``
-    overflows), so the areas are checked as well.
+    Finite coordinates can still overflow an area (``1e308``) or the
+    square of the bounding-box diagonal (small triangles far apart), which
+    sizes the sphere radius law, so both are checked as well.
     """
     finite = np.isfinite(mesh.vertices).all(axis=1)
     if not finite.all():
@@ -160,6 +161,8 @@ def validate_mesh(mesh: TriangleMesh) -> None:
                         "coordinate")
     with np.errstate(over="ignore", invalid="ignore"):
         areas = triangle_areas(mesh.vertices, mesh.triangles)
+        diag = np.float64(bbox_diagonal(mesh.vertices))
+        diag_sq = diag * diag
     bad = np.nonzero(~np.isfinite(areas))[0]
     if bad.size:
         raise MeshError(f"triangle {int(bad[0])} has a non-finite area")
@@ -167,6 +170,9 @@ def validate_mesh(mesh: TriangleMesh) -> None:
     if bad.size:
         raise MeshError(f"degenerate triangle {int(bad[0])} "
                         f"(area {areas[bad[0]]:.3g} m^2)")
+    if not 0 < diag_sq < np.inf:
+        raise MeshError(f"bounding-box diagonal {diag:.3g} m has no finite, "
+                        "nonzero square")
     triangle_neighbors(mesh.triangles)
 
 
@@ -348,7 +354,9 @@ def icosphere(subdivision: int, radius: float = 1.0,
         F = np.stack([i, a, c, j, b, a, k, c, b, a, b, c],
                      axis=1).reshape(-1, 3)
     V /= np.linalg.norm(V, axis=1, keepdims=True)
-    V = V * radius + np.asarray(center, dtype=np.float64)
+    # validate_mesh rejects what overflows
+    with np.errstate(over="ignore"):
+        V = V * radius + np.asarray(center, dtype=np.float64)
     mesh = TriangleMesh(V, F)
     validate_mesh(mesh)
     return mesh
@@ -366,8 +374,10 @@ def cloth_grid(n: int, spacing: float,
         raise MeshError("cloth grid needs n >= 2")
     cx, cy, cz = center
     half = 0.5 * spacing * (n - 1)
-    xs = np.linspace(-half, half, n) + cx
-    zs = np.linspace(-half, half, n) + cz
+    # validate_mesh rejects what overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs = np.linspace(-half, half, n) + cx
+        zs = np.linspace(-half, half, n) + cz
     V = np.empty((n * n, 3))
     V[:, 0] = np.tile(xs, n)
     V[:, 1] = cy

@@ -13,8 +13,8 @@ largest corner displacement since the last build, relative to the built
 radius, exceeds ``update_threshold_d``.  The displacement includes
 translation, so the gate does not tell a rigid motion from a shape change:
 a shell that only translates still rebuilds each sphere once it has moved
-``update_threshold_d`` of that sphere's radius.  Curvature is computed once
-at initialization and reused for every rebuild; only geometry is refreshed.
+``update_threshold_d`` of that sphere's radius.  Each set keeps the curvature
+it was built with and reuses it for every rebuild; only geometry is refreshed.
 """
 
 from __future__ import annotations
@@ -67,19 +67,20 @@ class SphereParams:
         return cls(**overrides)
 
 
+@dataclass
 class SphereSet:
     """Per-triangle circumspheres for one mesh, stored as flat arrays.
 
     ``ref_vertices`` holds the corners (as ``TriangleMesh.corners``) at each
     sphere's last build; the lazy-update gate measures against them.
+    ``curvature`` is the per-triangle curvature that every build uses.
     """
 
-    def __init__(self, centers: np.ndarray, radii: np.ndarray,
-                 safety_angles: np.ndarray, ref_vertices: np.ndarray) -> None:
-        self.centers = centers
-        self.radii = radii
-        self.safety_angles = safety_angles
-        self.ref_vertices = ref_vertices
+    centers: np.ndarray
+    radii: np.ndarray
+    safety_angles: np.ndarray
+    ref_vertices: np.ndarray
+    curvature: np.ndarray
 
 
 def _circumcenters_bulk(a, ab, ac, ab2, ac2):
@@ -121,7 +122,6 @@ def _radius_law_bulk(r_c: np.ndarray, K: np.ndarray, params: SphereParams) -> np
         inv_k = np.where(absK > 0, 1.0 / np.where(absK > 0, absK, 1.0), np.inf)
     r_curv = np.clip(inv_k, CURV_RADIUS_MIN_FRAC * r_c,
                      CURV_RADIUS_MAX_FRAC * r_c)
-    r_curv = np.where(K == 0.0, r_flat, r_curv)
     return f * r_flat + (1.0 - f) * r_curv
 
 
@@ -151,7 +151,7 @@ def build_sphere_set(mesh: TriangleMesh, curvature: np.ndarray,
     p = triangle_corners(mesh.vertices, mesh.triangles)
     centers, radii, safety = _place_spheres(p, curvature, params)
     return SphereSet(centers=centers, radii=radii, safety_angles=safety,
-                     ref_vertices=p)
+                     ref_vertices=p, curvature=curvature)
 
 
 def max_displacements(sset: SphereSet, corners: np.ndarray) -> np.ndarray:
@@ -161,20 +161,20 @@ def max_displacements(sset: SphereSet, corners: np.ndarray) -> np.ndarray:
     return norm(deltas).max(axis=0)
 
 
-def update_spheres(sset: SphereSet, mesh: TriangleMesh, params: SphereParams,
-                   curvature: np.ndarray) -> int:
+def update_spheres(sset: SphereSet, mesh: TriangleMesh,
+                   params: SphereParams) -> int:
     """Rebuild exactly the spheres whose largest corner displacement, over
     the built radius, exceeds the threshold.
 
     Returns the number rebuilt.  Untouched spheres keep their snapshots.
-    Curvature values are the ones frozen at initialization.
+    Curvature values are the set's own, frozen at its build.
     """
     disp = max_displacements(sset, mesh.corners)
     idx = np.flatnonzero(disp / sset.radii > params.update_threshold_d)
     if idx.size == 0:
         return 0
     p = mesh.corners.take(idx, axis=2)
-    centers, radii, safety = _place_spheres(p, curvature[idx], params)
+    centers, radii, safety = _place_spheres(p, sset.curvature[idx], params)
     sset.centers[idx] = centers
     sset.radii[idx] = radii
     sset.safety_angles[idx] = safety

@@ -240,7 +240,7 @@ def test_gate_verdicts_survive_translation(rows, data):
         sset = build_sphere_set(home, flat, params)
         built = sset.radii.copy()
         now = soup(moved_along_diagonal(shoved, offset))
-        count = update_spheres(sset, now, params, flat)
+        count = update_spheres(sset, now, params)
         changed = np.any(sset.ref_vertices != home.corners, axis=(0, 1))
         return count, changed, built, sset.radii
 

@@ -399,7 +399,8 @@ def sphere_input(centers, radii, normals, safety=math.pi / 2):
     radii = np.broadcast_to(np.asarray(radii, dtype=float), (count,)).copy()
     sset = SphereSet(centers=centers.copy(), radii=radii,
                      safety_angles=np.full(count, float(safety)),
-                     ref_vertices=np.zeros((3, 3, count)))
+                     ref_vertices=np.zeros((3, 3, count)),
+                     curvature=np.zeros(count))
     normals = np.broadcast_to(np.asarray(normals, dtype=float),
                               (count, 3)).copy()
     return NarrowInput(sphere_set=sset, normals=normals,
@@ -801,7 +802,8 @@ def test_overlap_candidates_zero_radii_find_nothing():
 def sphere_set(centers, radii) -> SphereSet:
     return SphereSet(centers=centers, radii=radii,
                      safety_angles=np.zeros(len(radii)),
-                     ref_vertices=np.zeros((3, 3, len(radii))))
+                     ref_vertices=np.zeros((3, 3, len(radii))),
+                     curvature=np.zeros(len(radii)))
 
 
 def counting_query(queried: list):
@@ -837,7 +839,7 @@ def test_carried_overlaps_match_a_fresh_recount(seed, static_side, steps,
                        rng.uniform(0.02, 0.1, size=n_fixed))
     moving = sphere_set(rng.uniform(0, 1, size=(n_moving, 3)),
                         rng.uniform(0.02, 0.1, size=n_moving))
-    carry = OverlapCarry(static_side)
+    carry = OverlapCarry(static_side, n_moving)
     seen = None  # the moving side's (centers, radii) at the last call
     queried = []
     with mock.patch.object(detect.SphereGrid, "query",
@@ -902,7 +904,7 @@ def test_narrow_phase_with_a_carry_matches_a_fresh_call_bit_for_bit(
         sset = build_sphere_set(mesh, compute_curvature(mesh), params)
         inputs.append(NarrowInput(sset, triangle_normals(mesh.corners),
                                   mesh.triangles))
-    carry = OverlapCarry(static_side=1)
+    carry = OverlapCarry(static_side=1, moving_count=len(soft.triangles))
     queried = []
     monkeypatch.setattr(detect.SphereGrid, "query", counting_query(queried))
 
@@ -915,8 +917,7 @@ def test_narrow_phase_with_a_carry_matches_a_fresh_call_bit_for_bit(
         verts[:, 0] -= 0.01
         verts += rng.normal(scale=2e-3, size=verts.shape)
         mesh = TriangleMesh(verts.copy(), soft.triangles)
-        rebuilt = update_spheres(inputs[0].sphere_set, mesh, params,
-                                 compute_curvature(soft))
+        rebuilt = update_spheres(inputs[0].sphere_set, mesh, params)
         rebuilds.append(rebuilt)
         if frame in gaps:
             continue

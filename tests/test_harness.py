@@ -511,7 +511,9 @@ def test_collision_constraints_capture_the_contact_spheres(method_name):
                                 center=(0.47, 0.0, 0.0), mass=0.0),
                       method=method_name)
     world = generate_scene(config)
-    detect = harness._detector(world, config)
+    driver = (harness._CircumsphereMethod if method_name == "circumsphere"
+              else harness._BaselineMethod)
+    detect = driver(world, config).detect
     soft, rock = world.objects
     predicted = world.state.positions.copy()
     if method_name == "circumsphere":
@@ -883,6 +885,28 @@ def test_cli_non_finite_mesh_file_exits_2(tmp_path, capsys, coordinate,
     assert capsys.readouterr().err == f"error: object 'tet': {message}\n"
 
 
+@pytest.mark.parametrize("section,message", [
+    pytest.param("generator = mesh\nmesh = far.obj\n",
+                 "bounding-box diagonal inf m has no finite, nonzero square",
+                 id="far-apart-mesh"),
+    pytest.param("generator = cloth\nspacing = 1e308\n",
+                 "vertex 0 has a non-finite coordinate", id="cloth-spacing"),
+    pytest.param("generator = icosphere\nradius = 1e308\ncenter = 1e308 0 0\n",
+                 "vertex 8 has a non-finite coordinate", id="icosphere"),
+])
+def test_cli_huge_finite_geometry_exits_2(tmp_path, capsys, section,
+                                          message):
+    """Finite input whose geometry overflows: a one-line error, exit 2."""
+    (tmp_path / "far.obj").write_text(
+        "v 1e200 0 0\nv 1e200 1 0\nv 1e200 1 1\nv 1e200 0 1\n"
+        "v -1e200 0 0\nv -1e200 1 0\nv -1e200 1 1\nv -1e200 0 1\n"
+        "f 1 2 3\nf 1 3 4\nf 5 7 6\nf 5 8 7\n")
+    path = tmp_path / "scene.ini"
+    path.write_text(f"[scene]\nframes = 1\n\n[object:x]\n{section}")
+    assert cli_main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: object 'x': {message}\n"
+
+
 @pytest.mark.parametrize("setting,args,message", [
     pytest.param("flat_scale = 0.5", [], "flat_scale must be >= 1",
                  id="flat-scale"),
@@ -1172,6 +1196,38 @@ def test_static_ball_is_worked_out_once_for_the_whole_run(monkeypatch):
     for kind, sizes in per_frame.items():
         assert n_ball not in sizes, f"a per-frame {kind} ran for the ball"
         assert sizes.count(n_cloth) == config.frames, kind
+
+
+@pytest.mark.parametrize("method_name", ["bounding-ball", "polygon-exact"])
+def test_baselines_work_out_the_static_ball_once(monkeypatch, method_name):
+    """A baseline works out the static ball's minimal spheres once, at
+    set-up: once the frames start, no ``min_bounding_spheres`` call runs
+    for the ball, and the cloth gets one every frame."""
+    config = builtin_scene("cloth-over-sphere", method=method_name,
+                           frames=20)
+    cloth, ball = generate_scene(config).objects
+    assert ball.static and not cloth.static
+    n_ball = ball.rest_mesh.num_triangles
+    n_cloth = cloth.rest_mesh.num_triangles
+    assert n_ball != n_cloth
+    real_predict = harness.predict
+    real_spheres = harness.min_bounding_spheres
+    framing = []        # non-empty once the first frame has started
+    sizes = {"setup": [], "frames": []}
+
+    def predict(*args):
+        framing.append(True)
+        return real_predict(*args)
+
+    def spheres(corners):
+        sizes["frames" if framing else "setup"].append(corners.shape[-1])
+        return real_spheres(corners)
+
+    monkeypatch.setattr(harness, "predict", predict)
+    monkeypatch.setattr(harness, "min_bounding_spheres", spheres)
+    run_scene(config)
+    assert sizes["setup"] == [n_ball]
+    assert sizes["frames"] == [n_cloth] * config.frames
 
 
 def test_a_pair_the_broad_phase_skips_keeps_its_carry_exact():

@@ -139,10 +139,38 @@ def test_load_rejects_non_finite_geometry(tmp_path, coordinate, message):
 
 
 def test_generators_reject_non_finite_geometry():
+    """Also for finite settings whose coordinates overflow, with no
+    RuntimeWarning (the suite turns warnings into errors): the cloth's in
+    ``np.linspace``, the icosphere's when the center is added."""
     with pytest.raises(MeshError, match="non-finite area"):
         cloth_grid(3, 1e200)
     with pytest.raises(MeshError, match="non-finite coordinate"):
         cloth_grid(3, 0.1, (0.0, math.inf, 0.0))
+    with pytest.raises(MeshError, match="non-finite coordinate"):
+        cloth_grid(20, 1e308)
+    with pytest.raises(MeshError, match="non-finite coordinate"):
+        icosphere(1, 1e308, (1e308, 0.0, 0.0))
+
+
+def far_apart_squares(x: float) -> str:
+    """Two unit squares in planes x = +-``x``, as a mesh file's text."""
+    return ("".join(f"v {s * x} {y} {z}\n" for s in (1, -1)
+                    for y, z in ((0, 0), (1, 0), (1, 1), (0, 1)))
+            + "f 1 2 3\nf 1 3 4\nf 5 7 6\nf 5 8 7\n")
+
+
+@pytest.mark.parametrize("x", [1e200, 1e160])
+def test_load_rejects_a_diagonal_whose_square_overflows(tmp_path, x):
+    """Small triangles far apart: at 1e200 the bounding-box diagonal itself
+    overflows, at 1e160 only its square does.  Both are rejected at load,
+    with no RuntimeWarning, and the same squares at 1e100 load."""
+    p = tmp_path / "far.obj"
+    p.write_text(far_apart_squares(x))
+    with pytest.raises(MeshError, match="bounding-box diagonal .* has no "
+                                        "finite, nonzero square"):
+        load_mesh(p)
+    p.write_text(far_apart_squares(1e100))
+    assert bbox_diagonal(load_mesh(p).vertices) == pytest.approx(2e100)
 
 
 def test_save_load_roundtrip_icosphere_sub2(tmp_path):

@@ -431,9 +431,8 @@ def test_shape_change_is_displacement_over_built_radius():
 
 def test_update_spheres_static_mesh_rebuilds_nothing():
     mesh, params, sset = _flat_set()
-    curvature = compute_curvature(mesh)
     before_refs = sset.ref_vertices.copy()
-    n = update_spheres(sset, mesh, params, curvature)
+    n = update_spheres(sset, mesh, params)
     assert n == 0
     assert np.array_equal(sset.ref_vertices, before_refs)
 
@@ -443,21 +442,20 @@ def test_update_threshold_gates_on_strict_excess():
     sphere alone, d = 0 rebuilds every sphere, and a threshold equal to the
     observed change rebuilds nothing (the gate is strict)."""
     mesh, params, sset = _flat_set()
-    curvature = compute_curvature(mesh)
     shift = 0.5 * float(sset.radii[0])
     moved = TriangleMesh(mesh.vertices + np.array([shift, 0.0, 0.0]),
                          mesh.triangles)
 
     lazy = SphereParams(k_threshold=1.0, update_threshold_d=0.7)
-    assert update_spheres(sset, moved, lazy, curvature) == 0
+    assert update_spheres(sset, moved, lazy) == 0
 
     observed = float(shape_changes(sset, moved.vertices,
                                         moved.triangles).max())
     at_edge = SphereParams(k_threshold=1.0, update_threshold_d=observed)
-    assert update_spheres(sset, moved, at_edge, curvature) == 0
+    assert update_spheres(sset, moved, at_edge) == 0
 
     eager = SphereParams(k_threshold=1.0, update_threshold_d=0.0)
-    n = update_spheres(sset, moved, eager, curvature)
+    n = update_spheres(sset, moved, eager)
     assert n == len(sset.radii)
     assert np.array_equal(sset.ref_vertices, moved.corners)
 
@@ -465,25 +463,43 @@ def test_update_threshold_gates_on_strict_excess():
 def test_update_rebuild_is_idempotent():
     """Once rebuilt at the new positions, a second update is a no-op."""
     mesh, params, sset = _flat_set()
-    curvature = compute_curvature(mesh)
     rng = np.random.default_rng(23)
     moved = TriangleMesh(mesh.vertices + 0.3 * rng.normal(size=mesh.vertices.shape),
                          mesh.triangles)
     eager = SphereParams(k_threshold=1.0, update_threshold_d=0.0)
-    first = update_spheres(sset, moved, eager, curvature)
+    first = update_spheres(sset, moved, eager)
     assert first == len(sset.radii)
     rebuilt_refs = sset.ref_vertices.copy()
-    second = update_spheres(sset, moved, eager, curvature)
+    second = update_spheres(sset, moved, eager)
     assert second == 0
     assert np.array_equal(sset.ref_vertices, rebuilt_refs)
     assert np.array_equal(rebuilt_refs, moved.corners)
+
+
+def test_rebuild_uses_the_sets_build_time_curvature():
+    """An icosphere, whose curvature is nonzero, stretched along y and
+    rebuilt in full: every sphere comes out bit for bit as a fresh build of
+    the stretched mesh with the curvature the set was built with, and not
+    as one with the stretched mesh's own curvature."""
+    mesh = icosphere(2, radius=0.5)
+    curvature = compute_curvature(mesh)
+    assert np.all(curvature != 0)
+    params = SphereParams.for_mesh(mesh, update_threshold_d=0.0)
+    sset = build_sphere_set(mesh, curvature, params)
+    moved = TriangleMesh(mesh.vertices * [1.0, 1.5, 1.0], mesh.triangles)
+    assert update_spheres(sset, moved, params) == mesh.num_triangles
+    fresh = build_sphere_set(moved, curvature, params)
+    for name in ("centers", "radii", "safety_angles", "ref_vertices"):
+        assert np.array_equal(getattr(sset, name), getattr(fresh, name)), name
+    own = build_sphere_set(moved, compute_curvature(moved), params)
+    assert not np.array_equal(own.radii, sset.radii), \
+        "the stretched mesh's curvature must change the radii"
 
 
 def test_update_touches_only_spheres_past_the_gate():
     """Displacing one corner region rebuilds those triangles and leaves the
     rest byte-identical, snapshots included."""
     mesh, _, sset = _flat_set(n=6, spacing=0.2)
-    curvature = compute_curvature(mesh)
     params = SphereParams(k_threshold=1.0, update_threshold_d=0.7)
     before_centers = sset.centers.copy()
     before_refs = sset.ref_vertices.copy()
@@ -491,7 +507,7 @@ def test_update_touches_only_spheres_past_the_gate():
     moved_pos = mesh.vertices.copy()
     moved_pos[0] += np.array([0.0, 5.0, 0.0])  # huge shove, one vertex
     moved = TriangleMesh(moved_pos, mesh.triangles)
-    n = update_spheres(sset, moved, params, curvature)
+    n = update_spheres(sset, moved, params)
 
     touches_v0 = np.any(mesh.triangles == 0, axis=1)
     assert n == int(np.count_nonzero(touches_v0))
